@@ -5,15 +5,16 @@
 // shortens buffer coverage, slower sampling degrades the trapezoidal
 // energy estimate on phase-heavy applications.
 //
-// A second section ablates the telemetry data plane itself: the same
-// window query is issued over the typed protocol (PowerSample structs
-// end-to-end) and the legacy JSON protocol (render at the node-agent,
-// parse at the client), comparing host wall-clock per query and per-sample
+// A second section ablates the telemetry data plane itself: the same typed
+// window query (PowerSample structs end-to-end) is timed alone and with the
+// legacy JSON edge on top (the root renders the response, the client
+// parses every sample), comparing host wall-clock per query and per-sample
 // buffer memory.
 #include <chrono>
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "bench/json_edge.hpp"
 #include "experiments/scenario.hpp"
 #include "monitor/client.hpp"
 #include "variorum/variorum.hpp"
@@ -76,7 +77,6 @@ int main() {
     Scenario s(cfg);
     s.sim().run_until(400.0);  // ~200 samples per node in the buffers
     monitor::MonitorClient client(s.instance());
-    client.set_typed_protocol(typed);
     std::vector<flux::Rank> ranks;
     for (int i = 0; i < cfg.nodes; ++i) ranks.push_back(i);
 
@@ -84,8 +84,14 @@ int main() {
     const int reps = 50;
     const auto t0 = std::chrono::steady_clock::now();
     for (int rep = 0; rep < reps; ++rep) {
-      auto window = client.query_window_blocking(ranks, 0.0, 400.0);
       samples = 0;
+      if (!typed) {
+        samples =
+            bench::json_edge_window_query(s.instance(), ranks, 0.0, 400.0)
+                .value_or(0);
+        continue;
+      }
+      auto window = client.query_window_blocking(ranks, 0.0, 400.0);
       if (window) {
         for (const auto& n : window->nodes) samples += n.samples.size();
       }

@@ -401,8 +401,9 @@ void BM_ShardedStack(benchmark::State& state) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
   }
+  // No SetItemsProcessed: google-benchmark would divide by main-thread CPU
+  // time, which excludes the worker threads. events_per_sec is wall-timed.
   const std::uint64_t events = engine.total_events_executed() - executed_before;
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
   const double evps =
       elapsed_s > 0.0 ? static_cast<double>(events) / elapsed_s : 0.0;
   // shards=1 rows run first for each node count, so the baseline is always

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/json_edge.hpp"
 #include "flux/instance.hpp"
 #include "flux/telemetry.hpp"
 #include "hwsim/cluster.hpp"
@@ -106,12 +107,18 @@ void run_window_query_bench(benchmark::State& state, bool typed) {
       monitor::PowerMonitorConfig::for_lassen());
   sim.run_until(200.0);  // fill the buffers with ~100 samples per node
   monitor::MonitorClient client(instance);
-  client.set_typed_protocol(typed);
   std::vector<flux::Rank> ranks;
   for (int i = 0; i < nodes; ++i) ranks.push_back(i);
   for (auto _ : state) {
-    auto window = client.query_window_blocking(ranks, 0.0, 200.0);
-    benchmark::DoNotOptimize(window);
+    if (typed) {
+      auto window = client.query_window_blocking(ranks, 0.0, 200.0);
+      benchmark::DoNotOptimize(window);
+    } else {
+      // Same typed query plus the JSON edge: render at the root, parse
+      // every sample at the client.
+      auto parsed = bench::json_edge_window_query(instance, ranks, 0.0, 200.0);
+      benchmark::DoNotOptimize(parsed);
+    }
   }
   state.SetItemsProcessed(state.iterations() * nodes * 100);
 }

@@ -52,8 +52,8 @@ struct Message {
   /// plus the JSON `payload` as meta keys. Routing copies the pointer (one
   /// atomic increment per TBON hop, never the samples); the codec renders
   /// it into the JSON payload at the wire boundary so encoded messages are
-  /// indistinguishable from the JSON-everywhere protocol. Only responses
-  /// to requests that opted in (telemetry::wants_typed_telemetry) carry it.
+  /// indistinguishable from the JSON-everywhere protocol. Every monitor
+  /// get-data, get-subtree and query-job response carries it.
   std::shared_ptr<const TelemetryBatch> telemetry;
 
   bool is_error() const noexcept { return errnum != 0; }

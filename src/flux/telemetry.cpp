@@ -38,30 +38,4 @@ Json render_telemetry_payload(const Json& meta, const TelemetryBatch& batch) {
   return payload;
 }
 
-TelemetryNodeEntry parse_telemetry_entry(const Json& entry) {
-  TelemetryNodeEntry e;
-  e.hostname = entry.string_or("hostname", "");
-  e.rank = static_cast<Rank>(entry.int_or("rank", -1));
-  e.complete = entry.bool_or("complete", false);
-  e.decimated = entry.bool_or("decimated", false);
-  if (entry.contains("error")) {
-    e.errored = true;
-    e.error = entry.string_or("error", "");
-  }
-  if (entry.contains("samples")) {
-    for (const Json& s : entry.at("samples").as_array()) {
-      e.samples.push_back(variorum::parse_node_power_json(s));
-    }
-  }
-  return e;
-}
-
-bool wants_typed_telemetry(const Message& request) {
-  return request.payload.string_or(kTypedProtoKey, "") == kTypedProtoValue;
-}
-
-void request_typed_telemetry(util::Json& payload) {
-  payload[kTypedProtoKey] = kTypedProtoValue;
-}
-
 }  // namespace fluxpower::flux

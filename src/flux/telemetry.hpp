@@ -3,11 +3,11 @@
 // The monitor's data plane carries hwsim::PowerSample structs end-to-end:
 // node-agents store them raw in the ring buffer, brokers merge them through
 // the TBON subtree reduction, and the root hands them to the client — all
-// without serializing. JSON exists only at the edges: a response is rendered
-// (a) when a requester did not opt into the typed protocol, or (b) when a
-// message crosses the codec boundary (wire dumps, journal). Both renderings
-// are byte-identical to the historical JSON-everywhere payloads, so wire
-// formats and experiment outputs are unchanged.
+// without serializing. Every get-data, get-subtree and query-job response
+// carries a TelemetryBatch. JSON exists only at the edge: the codec renders
+// the batch into the payload when a message crosses the wire boundary (wire
+// dumps, journal), byte-identical to the historical JSON-everywhere
+// payloads, so wire formats and experiment outputs are unchanged.
 #pragma once
 
 #include <cstdint>
@@ -67,20 +67,5 @@ util::Json render_telemetry_entry(const TelemetryNodeEntry& entry);
 /// single_entry batches). `meta` is the message's JSON payload.
 util::Json render_telemetry_payload(const util::Json& meta,
                                     const TelemetryBatch& batch);
-
-/// Decode a per-node JSON entry back to typed form (fallback for responses
-/// from agents speaking the JSON protocol).
-TelemetryNodeEntry parse_telemetry_entry(const util::Json& entry);
-
-/// The payload key internal requesters set to receive typed responses.
-/// Absent → the responder renders JSON, byte-identical to the legacy path.
-inline constexpr const char* kTypedProtoKey = "proto";
-inline constexpr const char* kTypedProtoValue = "typed";
-
-/// Does this request opt into typed-telemetry responses?
-bool wants_typed_telemetry(const Message& request);
-
-/// Mark a request payload as typed-protocol.
-void request_typed_telemetry(util::Json& payload);
 
 }  // namespace fluxpower::flux

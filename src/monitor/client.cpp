@@ -7,7 +7,6 @@
 #include "monitor/power_monitor.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
-#include "variorum/variorum.hpp"
 
 namespace fluxpower::monitor {
 
@@ -70,38 +69,9 @@ std::size_t JobPowerData::responding_nodes() const noexcept {
   return n;
 }
 
-JobPowerData parse_job_power_payload(const util::Json& payload) {
-  JobPowerData data;
-  data.job_id = static_cast<flux::JobId>(payload.int_or("id", 0));
-  data.app = payload.string_or("app", "");
-  data.t_start = payload.number_or("t_start", 0.0);
-  data.t_end = payload.number_or("t_end", 0.0);
-  for (const util::Json& n : payload.at("nodes").as_array()) {
-    NodePowerData node;
-    node.hostname = n.string_or("hostname", "");
-    node.rank = static_cast<flux::Rank>(n.int_or("rank", -1));
-    node.complete = n.bool_or("complete", false);
-    if (n.contains("error")) {
-      node.errored = true;
-      node.error = n.string_or("error", "");
-    }
-    for (const util::Json& s : n.at("samples").as_array()) {
-      node.samples.push_back(variorum::parse_node_power_json(s));
-    }
-    data.nodes.push_back(std::move(node));
-  }
-  // Stable presentation order regardless of RPC completion order.
-  std::sort(data.nodes.begin(), data.nodes.end(),
-            [](const NodePowerData& a, const NodePowerData& b) {
-              return a.rank < b.rank;
-            });
-  return data;
-}
-
 JobPowerData parse_job_power_message(const flux::Message& resp) {
-  if (!resp.telemetry) return parse_job_power_payload(resp.payload);
-  // Typed fast path: the batch already holds PowerSample structs; the JSON
-  // payload carries only the meta keys.
+  // The batch already holds PowerSample structs; the JSON payload carries
+  // only the meta keys.
   JobPowerData data;
   data.job_id = static_cast<flux::JobId>(resp.payload.int_or("id", 0));
   data.app = resp.payload.string_or("app", "");
@@ -128,7 +98,6 @@ JobPowerData parse_job_power_message(const flux::Message& resp) {
 void MonitorClient::query(flux::JobId job_id, Callback cb) {
   util::Json payload = util::Json::object();
   payload["id"] = job_id;
-  if (typed_protocol_) flux::request_typed_telemetry(payload);
   instance_.root().rpc(flux::kRootRank, kQueryJobTopic, std::move(payload),
                        [cb = std::move(cb)](const flux::Message& resp) {
                          if (resp.is_error()) {
@@ -165,7 +134,6 @@ std::optional<JobPowerData> MonitorClient::query_window_blocking(
   util::Json ranks_json = util::Json::array();
   for (flux::Rank r : ranks) ranks_json.push_back(r);
   req["ranks"] = std::move(ranks_json);
-  if (typed_protocol_) flux::request_typed_telemetry(req);
 
   std::optional<JobPowerData> result;
   bool done = false;
@@ -179,9 +147,6 @@ std::optional<JobPowerData> MonitorClient::query_window_blocking(
                          shaped.payload["app"] = "window-query";
                          shaped.payload["t_start"] = start_s;
                          shaped.payload["t_end"] = end_s;
-                         if (!resp.telemetry) {
-                           shaped.payload["nodes"] = resp.payload.at("nodes");
-                         }
                          result = parse_job_power_message(shaped);
                        });
   while (!done && instance_.pump_one()) {

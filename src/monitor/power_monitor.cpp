@@ -1,6 +1,7 @@
 #include "monitor/power_monitor.hpp"
 
 #include <array>
+#include <cmath>
 #include <limits>
 
 #include "flux/hostlist.hpp"
@@ -349,12 +350,7 @@ void PowerMonitorModule::handle_get_data(const Message& req) {
   auto batch = std::make_shared<TelemetryBatch>();
   batch->single_entry = true;
   batch->nodes.push_back(local_entry(req.payload));
-  if (flux::wants_typed_telemetry(req)) {
-    broker_->respond_telemetry(req, Json::object(), std::move(batch));
-  } else {
-    // JSON edge: requester speaks the legacy protocol.
-    broker_->respond(req, flux::render_telemetry_entry(batch->nodes.front()));
-  }
+  broker_->respond_telemetry(req, Json::object(), std::move(batch));
 }
 
 std::string PowerMonitorModule::metrics_text() const {
@@ -417,10 +413,9 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
   // TBON tree reduction: contribute the local window, recurse into the
   // children whose subtrees hold requested ranks, and answer upward with
   // the merged per-node entries. Every broker's fan-in is bounded by the
-  // tree fanout regardless of job size. Hop-to-hop the merge is typed:
+  // tree fanout regardless of job size. The merge is typed end to end:
   // child batches arrive by pointer and entries are concatenated without
-  // touching JSON; only the reply to a legacy (non-typed) requester is
-  // rendered.
+  // touching JSON.
   //
   // Aggregation protocol is request-driven on interior hops and
   // config-driven at the query root:
@@ -526,13 +521,9 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
     Json meta = Json::object();
     meta["requested"] = static_cast<std::int64_t>(requested);
     meta["responding"] = static_cast<std::int64_t>(responding);
-    auto batch = std::make_shared<TelemetryBatch>(std::move(p.batch));
-    if (flux::wants_typed_telemetry(p.original)) {
-      broker->respond_telemetry(p.original, std::move(meta), std::move(batch));
-    } else {
-      broker->respond(p.original,
-                      flux::render_telemetry_payload(meta, *batch));
-    }
+    broker->respond_telemetry(
+        p.original, std::move(meta),
+        std::make_shared<TelemetryBatch>(std::move(p.batch)));
   };
 
   if (child_requests.empty()) {
@@ -584,8 +575,6 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
       }
       sub["since"] = std::move(since);
     }
-    // Internal hop: always ask the child for the typed batch.
-    flux::request_typed_telemetry(sub);
 
     const std::vector<flux::Rank> subset = cr.subset;
     if (!delta_root) {
@@ -606,14 +595,9 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
                 entry.error = resp.error_text;
                 pending->batch.nodes.push_back(std::move(entry));
               }
-            } else if (resp.telemetry) {
+            } else {
               for (const TelemetryNodeEntry& n : resp.telemetry->nodes) {
                 pending->batch.nodes.push_back(n);
-              }
-            } else {
-              // Legacy child speaking JSON: parse back to typed here.
-              for (const Json& n : resp.payload.at("nodes").as_array()) {
-                pending->batch.nodes.push_back(flux::parse_telemetry_entry(n));
               }
             }
             if (--pending->outstanding == 0) respond_merged(*pending);
@@ -634,9 +618,9 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
          win_start, win_end, win_max](const Message& resp) {
           auto fold = [&](const TelemetryNodeEntry& n) {
             if (n.errored || !n.delta) {
-              // Errored placeholder from a dark subtree, or a legacy child
-              // speaking the full protocol: pass the entry through verbatim
-              // and drop the mirror — the next query resyncs from scratch.
+              // Errored placeholder from a dark subtree, or a child merging
+              // in full mode: pass the entry through verbatim and drop the
+              // mirror — the next query resyncs from scratch.
               if (replicas->erase(n.rank) > 0) resyncs->inc();
               pending->batch.nodes.push_back(n);
               return;
@@ -663,12 +647,8 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
               entry.error = resp.error_text;
               pending->batch.nodes.push_back(std::move(entry));
             }
-          } else if (resp.telemetry) {
-            for (const TelemetryNodeEntry& n : resp.telemetry->nodes) fold(n);
           } else {
-            for (const Json& n : resp.payload.at("nodes").as_array()) {
-              fold(flux::parse_telemetry_entry(n));
-            }
+            for (const TelemetryNodeEntry& n : resp.telemetry->nodes) fold(n);
           }
           if (--pending->outstanding == 0) respond_merged(*pending);
         },
@@ -743,16 +723,20 @@ void PowerMonitorModule::handle_set_config(const Message& req) {
   // Runtime reconfiguration of the node-agent — the sampling rate and
   // buffer size "are configurable by the user" (§III-A). Changing the
   // buffer capacity discards retained samples (allocation is fixed-size);
-  // changing the period re-arms the control loop.
+  // changing the period re-arms the control loop. Both values are checked
+  // before any state changes: a NaN or infinite period would poison the
+  // event loop, and a negative capacity would wrap to SIZE_MAX.
   const double period =
       req.payload.number_or("sample_period_s", config_.sample_period_s);
-  const auto capacity = static_cast<std::size_t>(req.payload.int_or(
-      "buffer_capacity", static_cast<std::int64_t>(config_.buffer_capacity)));
-  if (period <= 0.0 || capacity == 0) {
+  const std::int64_t requested_capacity = req.payload.int_or(
+      "buffer_capacity", static_cast<std::int64_t>(config_.buffer_capacity));
+  if (!std::isfinite(period) || period <= 0.0 || requested_capacity < 1) {
     broker_->respond_error(req, flux::kEInval,
-                           "period and capacity must be positive");
+                           "sample_period_s must be finite and positive and "
+                           "buffer_capacity at least 1");
     return;
   }
+  const auto capacity = static_cast<std::size_t>(requested_capacity);
   config_.stream_samples =
       req.payload.bool_or("stream_samples", config_.stream_samples);
   if (capacity != config_.buffer_capacity) {
@@ -788,7 +772,6 @@ void PowerMonitorModule::archive_job(flux::JobId id, flux::UserId userid) {
   broker->sim().schedule_after(config_.sample_period_s, [broker, id, userid] {
     util::Json payload = util::Json::object();
     payload["id"] = id;
-    flux::request_typed_telemetry(payload);
     broker->rpc(
         flux::kRootRank, kQueryJobTopic, std::move(payload),
         [broker, id, userid](const Message& resp) {
@@ -838,8 +821,7 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
   // Resolve the job, then gather from the node-agents of its ranks —
   // through the TBON tree reduction by default, or by direct root fan-out
   // when tree aggregation is disabled. All communication is message-based,
-  // even root-local lookups. The gather itself is always typed; the final
-  // response is rendered to JSON only for legacy requesters.
+  // even root-local lookups. The gather and the response are typed.
   flux::Broker* broker = broker_;
   const bool tree_aggregation = config_.tree_aggregation;
   const Message original = req;
@@ -871,17 +853,6 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
         meta["t_start"] = t_start;
         meta["t_end"] = t_end;
 
-        auto respond_with = [broker](const Message& request, Json request_meta,
-                                     std::shared_ptr<const TelemetryBatch> b) {
-          if (flux::wants_typed_telemetry(request)) {
-            broker->respond_telemetry(request, std::move(request_meta),
-                                      std::move(b));
-          } else {
-            broker->respond(request,
-                            flux::render_telemetry_payload(request_meta, *b));
-          }
-        };
-
         Json window = Json::object();
         window["start"] = t_start;
         window["end"] = t_end;
@@ -889,26 +860,16 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
         if (tree_aggregation) {
           // One request into the tree; brokers merge their subtrees.
           window["ranks"] = ranks;
-          flux::request_typed_telemetry(window);
           broker->rpc(
               flux::kRootRank, kGetSubtreeTopic, std::move(window),
-              [broker, original, meta = std::move(meta),
-               respond_with](const Message& resp) {
+              [broker, original, meta = std::move(meta)](const Message& resp) {
                 if (resp.is_error()) {
                   broker->respond_error(original, resp.errnum,
                                         resp.error_text);
                   return;
                 }
-                if (resp.telemetry) {
-                  // Re-share the merged batch: zero copies at the root.
-                  respond_with(original, meta, resp.telemetry);
-                  return;
-                }
-                auto batch = std::make_shared<TelemetryBatch>();
-                for (const Json& n : resp.payload.at("nodes").as_array()) {
-                  batch->nodes.push_back(flux::parse_telemetry_entry(n));
-                }
-                respond_with(original, meta, std::move(batch));
+                // Re-share the merged batch: zero copies at the root.
+                broker->respond_telemetry(original, meta, resp.telemetry);
               },
               /*timeout_s=*/15.0);
           return;
@@ -924,12 +885,11 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
         pending->meta = std::move(meta);
         pending->outstanding = ranks.size();
 
-        flux::request_typed_telemetry(window);
         for (const Json& r : ranks) {
           const auto rank = static_cast<flux::Rank>(r.as_int());
           broker->rpc(
               rank, kGetDataTopic, window,
-              [original, pending, rank, respond_with](const Message& resp) {
+              [broker, original, pending, rank](const Message& resp) {
                 if (resp.is_error()) {
                   // Fault-tolerant aggregation: a dead or unloaded
                   // node-agent yields an empty *partial* per-node entry
@@ -941,15 +901,11 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
                   entry.errored = true;
                   entry.error = resp.error_text;
                   pending->batch.nodes.push_back(std::move(entry));
-                } else if (resp.telemetry &&
-                           !resp.telemetry->nodes.empty()) {
-                  pending->batch.nodes.push_back(resp.telemetry->nodes.front());
                 } else {
-                  pending->batch.nodes.push_back(
-                      flux::parse_telemetry_entry(resp.payload));
+                  pending->batch.nodes.push_back(resp.telemetry->nodes.front());
                 }
                 if (--pending->outstanding == 0) {
-                  respond_with(
+                  broker->respond_telemetry(
                       original, std::move(pending->meta),
                       std::make_shared<TelemetryBatch>(std::move(pending->batch)));
                 }

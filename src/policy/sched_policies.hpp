@@ -1,8 +1,7 @@
 // sched_policies.hpp — built-in scheduler policies for the policy plane.
 //
-// The three legacy policies (fcfs, easy-backfill, power-aware) reproduce the
-// former Scheduler::Policy enum semantics byte-for-byte; the two new ones
-// come from PAPERS.md:
+// Three classic policies — fcfs (the scheduler's default), easy-backfill
+// and power-aware — plus two from PAPERS.md:
 //   * power-aware-easy — EASY backfill under the cluster power budget:
 //     jobs behind a blocked head may start only when the budget covers the
 //     already-admitted jobs, the candidate AND the blocked head's estimate

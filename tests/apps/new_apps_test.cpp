@@ -84,7 +84,8 @@ TEST(MonitorDecimation, MaxSamplesThinsUniformly) {
   util::Json got;
   s.instance().root().rpc(0, monitor::kGetDataTopic, std::move(window),
                           [&](const flux::Message& resp) {
-                            got = resp.payload;
+                            got = flux::render_telemetry_payload(
+                                resp.payload, *resp.telemetry);
                           });
   s.sim().run_until(s.sim().now() + 1.0);
   ASSERT_TRUE(got.is_object());
@@ -108,7 +109,8 @@ TEST(MonitorDecimation, NoThinningWhenUnderLimit) {
   util::Json got;
   s.instance().root().rpc(0, monitor::kGetDataTopic, std::move(window),
                           [&](const flux::Message& resp) {
-                            got = resp.payload;
+                            got = flux::render_telemetry_payload(
+                                resp.payload, *resp.telemetry);
                           });
   s.sim().run_until(21.0);
   EXPECT_FALSE(got.bool_or("decimated", true));

@@ -61,7 +61,10 @@ TEST_F(MonitorTest, GetDataReturnsWindowedSamples) {
   window["end"] = 20.0;
   util::Json got;
   instance_->root().rpc(0, kGetDataTopic, std::move(window),
-                        [&](const flux::Message& resp) { got = resp.payload; });
+                        [&](const flux::Message& resp) {
+                          got = flux::render_telemetry_payload(
+                              resp.payload, *resp.telemetry);
+                        });
   sim_.run_until(31.0);
   ASSERT_TRUE(got.is_object());
   EXPECT_TRUE(got.bool_or("complete", false));
@@ -88,7 +91,10 @@ TEST_F(MonitorTest, BufferEvictionFlagsPartialData) {
   window["end"] = 60.0;
   util::Json got;
   instance_->root().rpc(0, kGetDataTopic, std::move(window),
-                        [&](const flux::Message& resp) { got = resp.payload; });
+                        [&](const flux::Message& resp) {
+                          got = flux::render_telemetry_payload(
+                              resp.payload, *resp.telemetry);
+                        });
   sim_.run_until(61.0);
   EXPECT_FALSE(got.bool_or("complete", true));
   EXPECT_EQ(got.at("samples").size(), 5u);

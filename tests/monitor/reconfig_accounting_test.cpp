@@ -6,7 +6,9 @@
 // partial data instead of silently forgetting the loss.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "flux/instance.hpp"
@@ -41,6 +43,7 @@ class ReconfigAccountingTest : public ::testing::Test {
     std::int64_t size = -1;
     std::int64_t failures = -1;
     std::int64_t capacity = -1;
+    double period = -1.0;
   };
 
   Status status_of(flux::Rank rank) {
@@ -55,6 +58,7 @@ class ReconfigAccountingTest : public ::testing::Test {
           st.size = resp.payload.int_or("buffer_size", -1);
           st.failures = resp.payload.int_or("sensor_failures", -1);
           st.capacity = resp.payload.int_or("buffer_capacity", -1);
+          st.period = resp.payload.number_or("sample_period_s", -1.0);
         });
     while (!got && sim_.step()) {
     }
@@ -132,6 +136,70 @@ TEST_F(ReconfigAccountingTest, StraddlingWindowReportsPartial) {
     }
   }
 }
+
+/// A set-config payload whose `key` is out of range, paired with a valid
+/// change to the other knob: the whole request must be refused.
+struct BadConfig {
+  const char* name;
+  const char* key;
+  double value;
+};
+
+void PrintTo(const BadConfig& c, std::ostream* os) { *os << c.name; }
+
+class SetConfigValidationTest
+    : public ReconfigAccountingTest,
+      public ::testing::WithParamInterface<BadConfig> {};
+
+TEST_P(SetConfigValidationTest, RejectsWithEinvalAndKeepsState) {
+  sim_.run_until(10.5);
+  const Status before = status_of(1);
+
+  util::Json cfg = util::Json::object();
+  cfg["sample_period_s"] = 0.5;
+  cfg["buffer_capacity"] = 16;
+  const std::string key = GetParam().key;
+  if (key == "buffer_capacity") {
+    cfg[key] = static_cast<std::int64_t>(GetParam().value);
+  } else {
+    cfg[key] = GetParam().value;
+  }
+  int errnum = 0;
+  bool got = false;
+  instance_->broker(1).rpc(1, kSetConfigTopic, std::move(cfg),
+                           [&](const flux::Message& resp) {
+                             got = true;
+                             errnum = resp.errnum;
+                           });
+  while (!got && sim_.step()) {
+  }
+  ASSERT_TRUE(got);
+  EXPECT_EQ(errnum, flux::kEInval);
+
+  const Status after = status_of(1);
+  EXPECT_EQ(after.capacity, 8);
+  EXPECT_EQ(after.period, 1.0);
+  // The sampler still runs on its old 1 s period and the ring still evicts.
+  sim_.run_until(sim_.now() + 10.0);
+  const Status later = status_of(1);
+  EXPECT_EQ(later.taken, before.taken + 10);
+  EXPECT_EQ(later.size, 8);
+  EXPECT_EQ(later.taken, later.evicted + later.size + later.failures);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadValues, SetConfigValidationTest,
+    ::testing::Values(
+        BadConfig{"NegativeCapacity", "buffer_capacity", -1.0},
+        BadConfig{"ZeroCapacity", "buffer_capacity", 0.0},
+        BadConfig{"NanPeriod", "sample_period_s",
+                  std::numeric_limits<double>::quiet_NaN()},
+        BadConfig{"InfinitePeriod", "sample_period_s",
+                  std::numeric_limits<double>::infinity()},
+        BadConfig{"NegativePeriod", "sample_period_s", -2.0}),
+    [](const ::testing::TestParamInfo<BadConfig>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace fluxpower::monitor

@@ -91,7 +91,13 @@ std::vector<Observation> run_script(bool delta, std::uint64_t seed,
       stack.instance->broker(root).rpc(
           root, monitor::kGetSubtreeTopic, std::move(req),
           [results, idx](const flux::Message& resp) {
-            (*results)[idx].payload = resp.payload.dump();
+            // Error answers carry no batch; merges render at the edge.
+            util::Json rendered = resp.payload;
+            if (resp.telemetry) {
+              rendered = flux::render_telemetry_payload(resp.payload,
+                                                        *resp.telemetry);
+            }
+            (*results)[idx].payload = rendered.dump();
             (*results)[idx].errnum = resp.errnum;
           },
           /*timeout_s=*/30.0);

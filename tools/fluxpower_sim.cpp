@@ -141,18 +141,14 @@ int main(int argc, char** argv) {
     usage(argv[0], "unknown policy " + policy);
   }
 
+  // --sched values -> PolicyEngine policy names.
+  const char* sched_policy = sched == "fcfs"          ? "fcfs"
+                             : sched == "backfill"    ? "easy-backfill"
+                             : sched == "power-aware" ? "power-aware"
+                                                      : nullptr;
+  if (sched_policy == nullptr) usage(argv[0], "unknown scheduler " + sched);
   Scenario scenario(cfg);
-  if (sched == "fcfs") {
-    scenario.instance().scheduler().set_policy(flux::Scheduler::Policy::Fcfs);
-  } else if (sched == "backfill") {
-    scenario.instance().scheduler().set_policy(
-        flux::Scheduler::Policy::EasyBackfill);
-  } else if (sched == "power-aware") {
-    scenario.instance().scheduler().set_policy(
-        flux::Scheduler::Policy::PowerAware);
-  } else {
-    usage(argv[0], "unknown scheduler " + sched);
-  }
+  scenario.instance().scheduler().set_policy_by_name(sched_policy);
 
   std::sort(jobs.begin(), jobs.end(),
             [](const JobRequest& a, const JobRequest& b) {
