@@ -1,11 +1,13 @@
 // Microbenchmarks for the hardware substrate: sensor sampling, grant
-// recomputation under caps, full-cluster draw summation, and the codec hot
-// path — the per-tick costs everything else multiplies.
+// recomputation under caps, the memoized steady-demand and identical
+// cap-rewrite paths, full-cluster draw summation, and the codec hot path —
+// the per-tick costs everything else multiplies.
 #include <benchmark/benchmark.h>
 
 #include "flux/codec.hpp"
 #include "hwsim/cluster.hpp"
 #include "hwsim/ibm_ac922.hpp"
+#include "variorum/variorum.hpp"
 
 using namespace fluxpower;
 
@@ -35,13 +37,45 @@ void BM_GrantRecompute(benchmark::State& state) {
   sim::Simulation sim;
   hwsim::IbmAc922Node node(sim, "n0");
   node.set_node_power_cap(1200.0);
-  const auto d = gemm_demand();
+  // Alternating two demands moves the floored demand on every call, so
+  // each set_demand runs a full grant recomputation.
+  const auto a = gemm_demand();
+  auto b = a;
+  b.gpu_w[0] -= 10.0;
+  bool flip = false;
   for (auto _ : state) {
-    node.set_demand(d);  // forces a full grant recomputation
+    node.set_demand(flip ? a : b);
+    flip = !flip;
     benchmark::DoNotOptimize(node.grants());
   }
 }
 BENCHMARK(BM_GrantRecompute);
+
+void BM_SteadyDemand(benchmark::State& state) {
+  sim::Simulation sim;
+  hwsim::IbmAc922Node node(sim, "n0");
+  node.set_node_power_cap(1200.0);
+  const auto d = gemm_demand();
+  node.set_demand(d);
+  for (auto _ : state) {
+    node.set_demand(d);  // unchanged demand: floors + meter, no recompute
+    benchmark::DoNotOptimize(node.grants());
+  }
+}
+BENCHMARK(BM_SteadyDemand);
+
+void BM_UniformCapRewrite(benchmark::State& state) {
+  // The manager's control tick re-writing an unchanged uniform GPU cap.
+  sim::Simulation sim;
+  hwsim::IbmAc922Node node(sim, "n0");
+  node.set_demand(gemm_demand());
+  variorum::cap_each_gpu_power_limit(node, 200.0);
+  for (auto _ : state) {
+    auto results = variorum::cap_each_gpu_power_limit(node, 200.0);
+    benchmark::DoNotOptimize(results);
+  }
+}
+BENCHMARK(BM_UniformCapRewrite);
 
 void BM_GpuCapWrite(benchmark::State& state) {
   sim::Simulation sim;

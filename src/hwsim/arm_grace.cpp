@@ -6,16 +6,12 @@ namespace fluxpower::hwsim {
 
 ArmGraceNode::ArmGraceNode(sim::Simulation& sim, std::string hostname,
                            ArmGraceConfig config)
-    : Node(sim, std::move(hostname)), config_(config) {
+    : Node(sim, std::move(hostname),
+           make_idle_floor("ArmGraceConfig", config.sockets, config.cpu_idle_w,
+                           0, 0.0, config.mem_idle_w)),
+      config_(config) {
   socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
-  idle();
-}
-
-LoadDemand ArmGraceNode::idle_demand() const {
-  LoadDemand d;
-  d.cpu_w.assign(static_cast<std::size_t>(config_.sockets), config_.cpu_idle_w);
-  d.mem_w = config_.mem_idle_w;
-  return d;
+  refresh(true);  // initial grants at idle draw
 }
 
 CapResult ArmGraceNode::do_set_socket_power_cap(int socket, double watts) {
@@ -31,8 +27,7 @@ CapResult ArmGraceNode::do_set_socket_power_cap(int socket, double watts) {
     applied = config_.cpu_max_w;
     status = CapStatus::Clamped;
   }
-  socket_caps_[static_cast<std::size_t>(socket)] = applied;
-  refresh();
+  store_cap(socket_caps_[static_cast<std::size_t>(socket)], applied);
   return {status, applied};
 }
 

@@ -1,23 +1,26 @@
 #include "hwsim/cray_ex235a.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace fluxpower::hwsim {
 
 CrayEx235aNode::CrayEx235aNode(sim::Simulation& sim, std::string hostname,
                                CrayEx235aConfig config)
-    : Node(sim, std::move(hostname)), config_(config) {
+    : Node(sim, std::move(hostname),
+           make_idle_floor("CrayEx235aConfig", config.sockets,
+                           config.cpu_idle_w, config.gcds, config.gcd_idle_w,
+                           config.mem_idle_w)),
+      config_(config) {
+  if (config_.gcds % 2 != 0) {
+    // Telemetry is per OAM; half a module has no sensor.
+    throw std::invalid_argument("CrayEx235aConfig: " +
+                                std::to_string(config_.gcds) +
+                                " GCDs is odd (2 GCDs per OAM)");
+  }
   gpu_caps_.assign(static_cast<std::size_t>(config_.gcds), std::nullopt);
   socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
-  idle();
-}
-
-LoadDemand CrayEx235aNode::idle_demand() const {
-  LoadDemand d;
-  d.cpu_w.assign(static_cast<std::size_t>(config_.sockets), config_.cpu_idle_w);
-  d.gpu_w.assign(static_cast<std::size_t>(config_.gcds), config_.gcd_idle_w);
-  d.mem_w = config_.mem_idle_w;
-  return d;
+  refresh(true);  // initial grants at idle draw
 }
 
 CapResult CrayEx235aNode::do_set_gpu_power_cap(int gpu, double watts) {
@@ -28,8 +31,7 @@ CapResult CrayEx235aNode::do_set_gpu_power_cap(int gpu, double watts) {
     return {CapStatus::PermissionDenied, std::nullopt};
   }
   const double applied = std::clamp(watts, config_.gcd_idle_w, config_.gcd_max_w);
-  gpu_caps_[static_cast<std::size_t>(gpu)] = applied;
-  refresh();
+  store_cap(gpu_caps_[static_cast<std::size_t>(gpu)], applied);
   return {applied == watts ? CapStatus::Ok : CapStatus::Clamped, applied};
 }
 
@@ -41,8 +43,7 @@ CapResult CrayEx235aNode::do_set_socket_power_cap(int socket, double watts) {
     return {CapStatus::PermissionDenied, std::nullopt};
   }
   const double applied = std::clamp(watts, config_.cpu_idle_w, config_.cpu_max_w);
-  socket_caps_[static_cast<std::size_t>(socket)] = applied;
-  refresh();
+  store_cap(socket_caps_[static_cast<std::size_t>(socket)], applied);
   return {applied == watts ? CapStatus::Ok : CapStatus::Clamped, applied};
 }
 

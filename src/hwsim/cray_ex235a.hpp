@@ -19,7 +19,7 @@ namespace fluxpower::hwsim {
 
 struct CrayEx235aConfig {
   int sockets = 1;
-  int gcds = 8;  ///< 4 OAMs x 2 GCDs; telemetry aggregates pairs
+  int gcds = 8;  ///< 4 OAMs x 2 GCDs; telemetry aggregates pairs (even)
 
   double cpu_idle_w = 45.0;
   double gcd_idle_w = 45.0;  ///< ~90 W idle per OAM
@@ -45,7 +45,6 @@ class CrayEx235aNode final : public Node {
   int oam_count() const { return config_.gcds / 2; }
   const char* vendor_name() const override { return "amd_trento_mi250x"; }
 
-  LoadDemand idle_demand() const override;
   PowerSample read_sensors() override;
 
   CapResult do_set_gpu_power_cap(int gpu, double watts) override;

@@ -8,20 +8,15 @@ namespace fluxpower::hwsim {
 
 IbmAc922Node::IbmAc922Node(sim::Simulation& sim, std::string hostname,
                            IbmAc922Config config)
-    : Node(sim, std::move(hostname)), config_(config) {
+    : Node(sim, std::move(hostname),
+           make_idle_floor("IbmAc922Config", config.sockets, config.cpu_idle_w,
+                           config.gpus, config.gpu_idle_w, config.mem_idle_w)),
+      config_(config) {
   gpu_caps_.assign(static_cast<std::size_t>(config_.gpus), std::nullopt);
   socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
   wedged_.assign(static_cast<std::size_t>(config_.gpus), false);
   gpu_cap_epochs_.assign(static_cast<std::size_t>(config_.gpus), 0);
-  idle();
-}
-
-LoadDemand IbmAc922Node::idle_demand() const {
-  LoadDemand d;
-  d.cpu_w.assign(static_cast<std::size_t>(config_.sockets), config_.cpu_idle_w);
-  d.gpu_w.assign(static_cast<std::size_t>(config_.gpus), config_.gpu_idle_w);
-  d.mem_w = config_.mem_idle_w;
-  return d;
+  refresh(true);  // initial grants at idle draw
 }
 
 double IbmAc922Node::derived_gpu_cap(double node_cap_w) const {
@@ -79,19 +74,18 @@ CapResult IbmAc922Node::do_set_node_power_cap(double watts) {
     const std::uint64_t epoch = ++node_cap_epoch_;
     sim_.schedule_after(config_.node_cap_latency_s, [this, applied, epoch] {
       if (epoch != node_cap_epoch_) return;  // superseded by a newer write
-      node_cap_ = applied;
-      refresh();
+      store_cap(node_cap_, applied);
     });
     return {status, applied};
   }
-  node_cap_ = applied;
-  refresh();
+  store_cap(node_cap_, applied);
   return {status, applied};
 }
 
 CapResult IbmAc922Node::do_clear_node_power_cap() {
+  const bool changed = node_cap_.has_value();
   node_cap_.reset();
-  refresh();
+  refresh(changed);
   return {CapStatus::Ok, config_.node_max_cap_w};
 }
 
@@ -113,9 +107,7 @@ CapResult IbmAc922Node::do_set_gpu_power_cap(int gpu, double watts) {
       // longer holds for this GPU either (this is how the paper could
       // observe GPUs "defaulting to the maximum power cap" despite the
       // node-level cap's conservative derivation).
-      gpu_caps_[idx] = config_.gpu_max_w;
-      wedged_[idx] = true;
-      refresh();
+      store_gpu_cap(idx, config_.gpu_max_w, /*wedged=*/true);
     }
     // Keep-last variant: state untouched. Either way NVML reports success.
     return {CapStatus::Ok, gpu_caps_[idx]};
@@ -134,16 +126,20 @@ CapResult IbmAc922Node::do_set_gpu_power_cap(int gpu, double watts) {
     const std::uint64_t epoch = ++gpu_cap_epochs_[idx];
     sim_.schedule_after(config_.gpu_cap_latency_s, [this, idx, applied, epoch] {
       if (epoch != gpu_cap_epochs_[idx]) return;
-      gpu_caps_[idx] = applied;
-      wedged_[idx] = false;
-      refresh();
+      store_gpu_cap(idx, applied, /*wedged=*/false);
     });
     return {status, applied};
   }
-  gpu_caps_[idx] = applied;
-  wedged_[idx] = false;  // a successful write un-wedges the GPU
-  refresh();
+  // A successful write un-wedges the GPU.
+  store_gpu_cap(idx, applied, /*wedged=*/false);
   return {status, applied};
+}
+
+void IbmAc922Node::store_gpu_cap(std::size_t idx, double watts, bool wedged) {
+  const bool changed = gpu_caps_[idx] != watts || wedged_[idx] != wedged;
+  gpu_caps_[idx] = watts;
+  wedged_[idx] = wedged;
+  refresh(changed);
 }
 
 bool IbmAc922Node::gpu_cap_wedged(int gpu) const {
@@ -187,7 +183,7 @@ Grants IbmAc922Node::compute_grants(const LoadDemand& demand) const {
   // GPUs further. The hard guarantee only holds down to 1000 W with GPU
   // activity; below the aggregate idle floor nothing shrinks further.
   const double cap = *node_cap_;
-  auto shrink = [&](std::vector<double>& grants, double floor_each) {
+  auto shrink = [&](auto& grants, double floor_each) {
     double excess = g.total() - cap;
     if (excess <= 0.0) return;
     double reducible = 0.0;

@@ -66,7 +66,6 @@ class IbmAc922Node final : public Node {
   int gpu_count() const override { return config_.gpus; }
   const char* vendor_name() const override { return "ibm_power9"; }
 
-  LoadDemand idle_demand() const override;
   PowerSample read_sensors() override;
 
   CapResult do_set_node_power_cap(double watts) override;
@@ -92,6 +91,10 @@ class IbmAc922Node final : public Node {
   Grants compute_grants(const LoadDemand& demand) const override;
 
  private:
+  /// Write GPU `idx`'s cap register and wedge bit together (both shape its
+  /// grant), then refresh.
+  void store_gpu_cap(std::size_t idx, double watts, bool wedged);
+
   IbmAc922Config config_;
   int nvml_failures_ = 0;
   std::vector<bool> wedged_;

@@ -6,18 +6,13 @@ namespace fluxpower::hwsim {
 
 IntelXeonNode::IntelXeonNode(sim::Simulation& sim, std::string hostname,
                              IntelXeonConfig config)
-    : Node(sim, std::move(hostname)), config_(config) {
+    : Node(sim, std::move(hostname),
+           make_idle_floor("IntelXeonConfig", config.sockets, config.cpu_idle_w,
+                           config.gpus, config.gpu_idle_w, config.mem_idle_w)),
+      config_(config) {
   gpu_caps_.assign(static_cast<std::size_t>(config_.gpus), std::nullopt);
   socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
-  idle();
-}
-
-LoadDemand IntelXeonNode::idle_demand() const {
-  LoadDemand d;
-  d.cpu_w.assign(static_cast<std::size_t>(config_.sockets), config_.cpu_idle_w);
-  d.gpu_w.assign(static_cast<std::size_t>(config_.gpus), config_.gpu_idle_w);
-  d.mem_w = config_.mem_idle_w;
-  return d;
+  refresh(true);  // initial grants at idle draw
 }
 
 CapResult IntelXeonNode::do_set_socket_power_cap(int socket, double watts) {
@@ -33,8 +28,7 @@ CapResult IntelXeonNode::do_set_socket_power_cap(int socket, double watts) {
     applied = config_.cpu_max_w;
     status = CapStatus::Clamped;
   }
-  socket_caps_[static_cast<std::size_t>(socket)] = applied;
-  refresh();
+  store_cap(socket_caps_[static_cast<std::size_t>(socket)], applied);
   return {status, applied};
 }
 
@@ -51,8 +45,7 @@ CapResult IntelXeonNode::do_set_gpu_power_cap(int gpu, double watts) {
     applied = config_.gpu_max_w;
     status = CapStatus::Clamped;
   }
-  gpu_caps_[static_cast<std::size_t>(gpu)] = applied;
-  refresh();
+  store_cap(gpu_caps_[static_cast<std::size_t>(gpu)], applied);
   return {status, applied};
 }
 

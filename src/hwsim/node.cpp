@@ -41,9 +41,23 @@ double Grants::total() const {
   return cpu_total() + gpu_total() + mem_w + base_w;
 }
 
-Node::Node(sim::Simulation& sim, std::string hostname)
-    : sim_(sim), hostname_(std::move(hostname)),
-      rng_(std::hash<std::string>{}(hostname_)) {}
+LoadDemand Node::make_idle_floor(const char* config, int sockets,
+                                 double cpu_idle_w, int gpus,
+                                 double gpu_idle_w, double mem_idle_w) {
+  auto checked = [config](const char* what, int count, std::size_t max) {
+    if (count < 0 || static_cast<std::size_t>(count) > max) {
+      throw std::invalid_argument(
+          std::string(config) + ": " + std::to_string(count) + " " + what +
+          " is outside [0, " + std::to_string(max) + "]");
+    }
+    return static_cast<std::size_t>(count);
+  };
+  LoadDemand d;
+  d.cpu_w.assign(checked("sockets", sockets, kMaxSockets), cpu_idle_w);
+  d.gpu_w.assign(checked("GPUs", gpus, kMaxGpuSensors), gpu_idle_w);
+  d.mem_w = mem_idle_w;
+  return d;
+}
 
 namespace {
 LoadDemand scaled(LoadDemand d, double factor) {
@@ -54,19 +68,26 @@ LoadDemand scaled(LoadDemand d, double factor) {
 }
 }  // namespace
 
+Node::Node(sim::Simulation& sim, std::string hostname, LoadDemand idle_floor)
+    : sim_(sim), hostname_(std::move(hostname)),
+      idle_floor_(idle_floor),
+      low_power_floor_(scaled(idle_floor, low_power_factor())),
+      rng_(std::hash<std::string>{}(hostname_)) {}
+
 void Node::set_demand(const LoadDemand& demand) {
   requested_ = demand;
-  refresh();
+  refresh(false);
 }
 
 void Node::idle() { set_demand(LoadDemand{}); }
 
-void Node::refresh() {
+void Node::refresh(bool caps_changed) {
   // Re-floor the raw request against the current idle floor (which depends
-  // on the low-power state), then recompute grants under the active caps.
+  // on the low-power state). Grants are a pure function of the floored
+  // demand and the cap registers, so they are recomputed only when one of
+  // those moved.
   LoadDemand d = requested_;
-  const LoadDemand floor =
-      low_power_ ? scaled(idle_demand(), low_power_factor()) : idle_demand();
+  const LoadDemand& floor = low_power_ ? low_power_floor_ : idle_floor_;
   d.cpu_w.resize(floor.cpu_w.size(), 0.0);
   d.gpu_w.resize(floor.gpu_w.size(), 0.0);
   for (std::size_t i = 0; i < d.cpu_w.size(); ++i) {
@@ -76,9 +97,12 @@ void Node::refresh() {
     d.gpu_w[i] = std::max(d.gpu_w[i], floor.gpu_w[i]);
   }
   d.mem_w = std::max(d.mem_w, floor.mem_w);
-  demand_ = std::move(d);
-  grants_ = compute_grants(demand_);
-  meter_.update(sim_.now(), grants_.total());
+  if (caps_changed || !(d == demand_)) {
+    demand_ = d;
+    grants_ = compute_grants(demand_);
+    draw_w_ = grants_.total();
+  }
+  meter_.update(sim_.now(), draw_w_);
 }
 
 double Node::noisy(double w) {

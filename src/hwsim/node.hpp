@@ -39,7 +39,10 @@ class NodeFaultTap {
 
 class Node {
  public:
-  Node(sim::Simulation& sim, std::string hostname);
+  /// `idle_floor` is the vendor's per-domain draw at zero load; it is fixed
+  /// for the node's lifetime, so it and its low-power variant are computed
+  /// once here.
+  Node(sim::Simulation& sim, std::string hostname, LoadDemand idle_floor);
   virtual ~Node() = default;
 
   Node(const Node&) = delete;
@@ -53,12 +56,13 @@ class Node {
   virtual const char* vendor_name() const = 0;
 
   /// Idle power floors (absolute watts at zero load).
-  virtual LoadDemand idle_demand() const = 0;
+  const LoadDemand& idle_demand() const noexcept { return idle_floor_; }
 
   // -- Workload interface ---------------------------------------------------
 
-  /// Set the instantaneous demand. Recomputes grants and advances the energy
-  /// integral. Demands below the idle floor are raised to it.
+  /// Set the instantaneous demand. Advances the energy integral, and
+  /// recomputes grants when the floored demand differs from the current
+  /// one. Demands below the idle floor are raised to it.
   void set_demand(const LoadDemand& demand);
 
   /// Return the node to idle draw.
@@ -71,7 +75,7 @@ class Node {
   const Grants& grants() const noexcept { return grants_; }
 
   /// Instantaneous total node draw (watts), including base power.
-  double node_draw_w() const noexcept { return grants_.total(); }
+  double node_draw_w() const noexcept { return draw_w_; }
 
   /// Exact energy consumed since construction (or last reset_energy).
   double energy_joules() const { return meter_.joules(sim_.now()); }
@@ -86,7 +90,7 @@ class Node {
   void set_low_power_state(bool enabled) {
     if (low_power_ == enabled) return;
     low_power_ = enabled;
-    refresh();
+    refresh(false);
   }
   bool low_power_state() const noexcept { return low_power_; }
   static constexpr double low_power_factor() { return 0.62; }
@@ -153,6 +157,15 @@ class Node {
   virtual std::optional<double> socket_power_cap(int socket) const;
 
  protected:
+  /// Idle floor of a vendor config (the constructor's `idle_floor`):
+  /// `sockets` CPU sockets and `gpus` GPUs at the given per-device idle
+  /// draws. Per-domain arrays are inline, so counts outside
+  /// [0, kMaxSockets] / [0, kMaxGpuSensors] throw std::invalid_argument
+  /// naming `config`.
+  static LoadDemand make_idle_floor(const char* config, int sockets,
+                                    double cpu_idle_w, int gpus,
+                                    double gpu_idle_w, double mem_idle_w);
+
   /// Vendor rule: demand + caps -> granted watts per domain.
   virtual Grants compute_grants(const LoadDemand& demand) const = 0;
 
@@ -165,9 +178,21 @@ class Node {
   virtual CapResult do_set_gpu_power_cap(int gpu, double watts);
   virtual CapResult do_set_socket_power_cap(int socket, double watts);
 
-  /// Recompute grants from the current demand and update the energy meter.
-  /// Must be called by subclasses after any cap change.
-  void refresh();
+  /// Re-floor the request against the active idle floor, recompute grants
+  /// when the floored demand or (per `caps_changed`) a cap register moved,
+  /// and advance the energy meter — the meter advances on every call, since
+  /// splitting its integral changes float rounding. Subclasses call this
+  /// after every cap write, passing whether any register (cap, wedge bit)
+  /// actually changed.
+  void refresh(bool caps_changed);
+
+  /// Write a cap register and refresh (recomputing grants only if the
+  /// register's value moved).
+  void store_cap(std::optional<double>& reg, double watts) {
+    const bool changed = reg != watts;
+    reg = watts;
+    refresh(changed);
+  }
 
   double noisy(double w);
 
@@ -175,7 +200,10 @@ class Node {
   std::string hostname_;
   LoadDemand requested_;  ///< raw workload request (pre-flooring)
   LoadDemand demand_;     ///< request floored at the active idle floor
-  Grants grants_;
+  Grants grants_;         ///< compute_grants(demand_) under the active caps
+  double draw_w_ = 0.0;   ///< grants_.total()
+  LoadDemand idle_floor_;
+  LoadDemand low_power_floor_;  ///< idle_floor_ x low_power_factor()
   EnergyMeter meter_;
   util::Rng rng_;
   double sensor_noise_ = 0.0;

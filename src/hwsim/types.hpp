@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -58,68 +59,95 @@ struct CapResult {
 
 const char* cap_status_name(CapStatus status) noexcept;
 
-/// Absolute instantaneous power demand of the workload on one node.
-/// Values are watts *including* each device's idle floor; an idle node is
-/// represented by demands equal to the idle floors (see Node::idle()).
-struct LoadDemand {
-  std::vector<double> cpu_w;  ///< per socket
-  std::vector<double> gpu_w;  ///< per GPU (per GCD on AMD)
-  double mem_w = 0.0;
-  bool operator==(const LoadDemand&) const = default;
-};
-
-/// Power actually granted to each domain after applying the active caps.
-struct Grants {
-  std::vector<double> cpu_w;
-  std::vector<double> gpu_w;
-  double mem_w = 0.0;
-  double base_w = 0.0;  ///< uncore/fans/board: constant, never capped
-
-  double gpu_total() const;
-  double cpu_total() const;
-  double total() const;
-};
-
-/// Sensor-count ceilings across every supported platform. AC922 has 2
-/// sockets + 4 GPUs, EX235a 1 socket + 4 OAM sensors, Grace 1 socket, and
-/// Xeon 2 sockets + a configurable PCIe accelerator set. The headroom makes
-/// these safe for hypothetical denser nodes without growing the sample.
+/// Sensor and control ceilings across every supported platform. AC922 has
+/// 2 sockets + 4 GPUs, EX235a 1 socket + 8 GCDs (4 OAM sensors), Grace 1
+/// socket, and Xeon 2 sockets + a configurable PCIe accelerator set. Vendor
+/// constructors reject domain counts above these, so every per-domain array
+/// below can live inline. The headroom makes them safe for hypothetical
+/// denser nodes without growing the sample.
 inline constexpr std::size_t kMaxSockets = 4;
 inline constexpr std::size_t kMaxGpuSensors = 8;
 inline constexpr std::size_t kMaxHostnameLen = 31;
 
-/// Fixed-capacity inline vector of doubles — the per-domain telemetry array.
-/// Deliberately a small subset of std::vector's interface so the vendor
-/// sampling code and every consumer read identically against either type.
-/// push_back beyond capacity drops the value: a sensor sweep can never
-/// overrun the sample, it can only under-report (and no shipped platform
-/// comes close to the ceiling).
-template <std::size_t Capacity>
-struct FixedWattsVec {
-  double data[Capacity] = {};
+/// Fixed-capacity inline vector — the per-domain array of demands, grants,
+/// telemetry and cap results. Deliberately a small subset of std::vector's
+/// interface so vendor code and every consumer read identically against
+/// either type, with zero heap allocations. Growth beyond capacity drops
+/// the excess: a sensor sweep can never overrun the sample, it can only
+/// under-report (and no shipped platform comes close to the ceiling).
+template <class T, std::size_t Capacity>
+struct InlineVec {
+  T data[Capacity] = {};
   std::size_t count = 0;
+
+  InlineVec() = default;
+  InlineVec(std::initializer_list<T> values)
+      : InlineVec(values.begin(), values.end()) {}
+  template <class It>
+  InlineVec(It first, It last) {
+    for (; first != last; ++first) push_back(*first);
+  }
+  InlineVec(const std::vector<T>& values)
+      : InlineVec(values.begin(), values.end()) {}
 
   static constexpr std::size_t capacity() noexcept { return Capacity; }
   std::size_t size() const noexcept { return count; }
   bool empty() const noexcept { return count == 0; }
   void clear() noexcept { count = 0; }
   void reserve(std::size_t) noexcept {}  // layout is fixed; parity with vector
-  void push_back(double w) noexcept {
-    if (count < Capacity) data[count++] = w;
+  void push_back(const T& v) noexcept {
+    if (count < Capacity) data[count++] = v;
   }
-  double& operator[](std::size_t i) noexcept { return data[i]; }
-  const double& operator[](std::size_t i) const noexcept { return data[i]; }
-  double* begin() noexcept { return data; }
-  double* end() noexcept { return data + count; }
-  const double* begin() const noexcept { return data; }
-  const double* end() const noexcept { return data + count; }
-  bool operator==(const FixedWattsVec& other) const noexcept {
+  void resize(std::size_t n, const T& v = T{}) noexcept {
+    if (n > Capacity) n = Capacity;
+    for (std::size_t i = count; i < n; ++i) data[i] = v;
+    count = n;
+  }
+  void assign(std::size_t n, const T& v) noexcept {
+    clear();
+    resize(n, v);
+  }
+  T& operator[](std::size_t i) noexcept { return data[i]; }
+  const T& operator[](std::size_t i) const noexcept { return data[i]; }
+  T* begin() noexcept { return data; }
+  T* end() noexcept { return data + count; }
+  const T* begin() const noexcept { return data; }
+  const T* end() const noexcept { return data + count; }
+  bool operator==(const InlineVec& other) const noexcept {
     if (count != other.count) return false;
     for (std::size_t i = 0; i < count; ++i) {
       if (data[i] != other.data[i]) return false;
     }
     return true;
   }
+};
+
+template <std::size_t Capacity>
+using FixedWattsVec = InlineVec<double, Capacity>;
+
+/// Per-GPU results of one cap sweep (variorum::cap_each_gpu_power_limit).
+using GpuCapResults = InlineVec<CapResult, kMaxGpuSensors>;
+
+/// Absolute instantaneous power demand of the workload on one node.
+/// Values are watts *including* each device's idle floor; an idle node is
+/// represented by demands equal to the idle floors (see Node::idle()).
+struct LoadDemand {
+  FixedWattsVec<kMaxSockets> cpu_w;     ///< per socket
+  FixedWattsVec<kMaxGpuSensors> gpu_w;  ///< per GPU (per GCD on AMD)
+  double mem_w = 0.0;
+  bool operator==(const LoadDemand&) const = default;
+};
+
+/// Power actually granted to each domain after applying the active caps.
+struct Grants {
+  FixedWattsVec<kMaxSockets> cpu_w;
+  FixedWattsVec<kMaxGpuSensors> gpu_w;
+  double mem_w = 0.0;
+  double base_w = 0.0;  ///< uncore/fans/board: constant, never capped
+
+  double gpu_total() const;
+  double cpu_total() const;
+  double total() const;
 };
 
 /// Optional watts reading without std::optional (which is not guaranteed

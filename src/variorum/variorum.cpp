@@ -73,7 +73,7 @@ CapResult cap_best_effort_node_power_limit(hwsim::Node& node, double watts) {
 
   // Best-effort fallback: split across sockets uniformly after reserving
   // the unmanageable domains (memory + base) at their idle draw.
-  const hwsim::LoadDemand floor = node.idle_demand();
+  const hwsim::LoadDemand& floor = node.idle_demand();
   double reserve = floor.mem_w;
   for (double g : floor.gpu_w) reserve += g;
   const int sockets = node.socket_count();
@@ -96,10 +96,9 @@ CapResult cap_best_effort_node_power_limit(hwsim::Node& node, double watts) {
   return aggregate;
 }
 
-std::vector<CapResult> cap_each_gpu_power_limit(hwsim::Node& node,
-                                                double watts) {
-  std::vector<CapResult> results;
-  results.reserve(static_cast<std::size_t>(node.gpu_count()));
+hwsim::GpuCapResults cap_each_gpu_power_limit(hwsim::Node& node,
+                                              double watts) {
+  hwsim::GpuCapResults results;
   for (int i = 0; i < node.gpu_count(); ++i) {
     results.push_back(node.set_gpu_power_cap(i, watts));
   }

@@ -14,8 +14,6 @@
 // per-architecture backends.
 #pragma once
 
-#include <vector>
-
 #include "hwsim/node.hpp"
 #include "util/json.hpp"
 
@@ -55,9 +53,9 @@ hwsim::CapResult cap_best_effort_node_power_limit(hwsim::Node& node,
                                                   double watts);
 
 /// Apply the same power cap to every GPU on the node. Returns per-GPU
-/// results (a node with capping fused off yields PermissionDenied for each).
-std::vector<hwsim::CapResult> cap_each_gpu_power_limit(hwsim::Node& node,
-                                                       double watts);
+/// results inline, without allocating (a node with capping fused off yields
+/// PermissionDenied for each).
+hwsim::GpuCapResults cap_each_gpu_power_limit(hwsim::Node& node, double watts);
 
 /// Cap a single GPU (used by FPP's per-GPU, non-uniform capping).
 hwsim::CapResult cap_gpu_power_limit(hwsim::Node& node, int gpu, double watts);

@@ -1,6 +1,7 @@
 // Tests for hwsim: vendor node models and their capping semantics.
 #include <gtest/gtest.h>
 
+#include "hwsim/arm_grace.hpp"
 #include "hwsim/cluster.hpp"
 #include "hwsim/cray_ex235a.hpp"
 #include "hwsim/energy_meter.hpp"
@@ -469,6 +470,85 @@ TEST(Cluster, PlatformNames) {
   EXPECT_STREQ(platform_name(Platform::LassenIbmAc922), "lassen");
   EXPECT_STREQ(platform_name(Platform::TiogaCrayEx235a), "tioga");
   EXPECT_STREQ(platform_name(Platform::GenericIntelXeon), "intel");
+}
+
+// ---------------------------------------------------------------------------
+// Domain counts: per-domain arrays are inline (kMaxSockets/kMaxGpuSensors),
+// so vendor constructors must reject counts they cannot hold instead of
+// silently dropping or clamping domains.
+// ---------------------------------------------------------------------------
+
+TEST(DomainCounts, XeonRejectsGpuCountBeyondSensorCeiling) {
+  sim::Simulation sim;
+  IntelXeonConfig c;
+  c.gpus = static_cast<int>(kMaxGpuSensors) + 1;
+  EXPECT_THROW(IntelXeonNode(sim, "x", c), std::invalid_argument);
+  c.gpus = -1;
+  EXPECT_THROW(IntelXeonNode(sim, "x", c), std::invalid_argument);
+  c.gpus = 0;
+  c.sockets = static_cast<int>(kMaxSockets) + 1;
+  EXPECT_THROW(IntelXeonNode(sim, "x", c), std::invalid_argument);
+  c.sockets = -2;
+  EXPECT_THROW(IntelXeonNode(sim, "x", c), std::invalid_argument);
+}
+
+TEST(DomainCounts, XeonAtTheCeilingSamplesEveryGpu) {
+  sim::Simulation sim;
+  IntelXeonConfig c;
+  c.sockets = static_cast<int>(kMaxSockets);
+  c.gpus = static_cast<int>(kMaxGpuSensors);
+  IntelXeonNode node(sim, "x", c);
+  EXPECT_EQ(node.grants().cpu_w.size(), kMaxSockets);
+  EXPECT_EQ(node.grants().gpu_w.size(), kMaxGpuSensors);
+  const PowerSample s = node.sample();
+  EXPECT_EQ(s.cpu_w.size(), kMaxSockets);
+  EXPECT_EQ(s.gpu_w.size(), kMaxGpuSensors);
+  double sensed = s.mem_w.value_or(0.0);
+  for (double w : s.cpu_w) sensed += w;
+  for (double w : s.gpu_w) sensed += w;
+  EXPECT_DOUBLE_EQ(*s.node_estimate_w, sensed);
+  EXPECT_DOUBLE_EQ(node.node_draw_w(), sensed + c.base_w);
+}
+
+TEST(DomainCounts, Ac922RejectsOutOfRangeCounts) {
+  sim::Simulation sim;
+  IbmAc922Config c;
+  c.gpus = static_cast<int>(kMaxGpuSensors) + 1;
+  EXPECT_THROW(IbmAc922Node(sim, "l", c), std::invalid_argument);
+  c.gpus = -1;
+  EXPECT_THROW(IbmAc922Node(sim, "l", c), std::invalid_argument);
+  c.gpus = 4;
+  c.sockets = static_cast<int>(kMaxSockets) + 1;
+  EXPECT_THROW(IbmAc922Node(sim, "l", c), std::invalid_argument);
+  c.sockets = -1;
+  EXPECT_THROW(IbmAc922Node(sim, "l", c), std::invalid_argument);
+}
+
+TEST(DomainCounts, Ex235aRejectsOutOfRangeOrOddGcds) {
+  sim::Simulation sim;
+  CrayEx235aConfig c;
+  c.gcds = static_cast<int>(kMaxGpuSensors) + 2;
+  EXPECT_THROW(CrayEx235aNode(sim, "t", c), std::invalid_argument);
+  c.gcds = -2;
+  EXPECT_THROW(CrayEx235aNode(sim, "t", c), std::invalid_argument);
+  c.gcds = 7;  // half an OAM has no sensor
+  EXPECT_THROW(CrayEx235aNode(sim, "t", c), std::invalid_argument);
+  c.gcds = 8;
+  c.sockets = static_cast<int>(kMaxSockets) + 1;
+  EXPECT_THROW(CrayEx235aNode(sim, "t", c), std::invalid_argument);
+  c.sockets = -1;
+  EXPECT_THROW(CrayEx235aNode(sim, "t", c), std::invalid_argument);
+}
+
+TEST(DomainCounts, GraceRejectsOutOfRangeSockets) {
+  sim::Simulation sim;
+  ArmGraceConfig c;
+  c.sockets = static_cast<int>(kMaxSockets) + 1;
+  EXPECT_THROW(ArmGraceNode(sim, "a", c), std::invalid_argument);
+  c.sockets = -1;
+  EXPECT_THROW(ArmGraceNode(sim, "a", c), std::invalid_argument);
+  c.sockets = 0;
+  EXPECT_NO_THROW(ArmGraceNode(sim, "a", c));
 }
 
 }  // namespace
