@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "manager/node_policies.hpp"
-
 namespace fluxpower::experiments {
 
 namespace {
@@ -36,6 +34,22 @@ class InstrumentedExec final : public flux::JobExecution {
   std::function<void()> on_start_;
   std::function<void()> on_finish_;
 };
+
+/// Exact grants and active GPU caps of `node` at `t_s` (not noisy sensor
+/// reads) — one point of a job's first-node timeline.
+TimelinePoint timeline_point(double t_s, const hwsim::Node& node) {
+  TimelinePoint p;
+  p.t_s = t_s;
+  const hwsim::Grants& g = node.grants();
+  p.node_w = g.total();
+  p.gpu_w.assign(g.gpu_w.begin(), g.gpu_w.end());
+  p.cpu_w.assign(g.cpu_w.begin(), g.cpu_w.end());
+  p.mem_w = g.mem_w;
+  for (int i = 0; i < node.gpu_count(); ++i) {
+    p.gpu_cap_w.push_back(node.gpu_power_cap(i).value_or(0.0));
+  }
+  return p;
+}
 }  // namespace
 
 const JobResult& ScenarioResult::job(flux::JobId id) const {
@@ -97,10 +111,7 @@ Scenario::Scenario(ScenarioConfig config) : config_(config) {
     instance_->scheduler().set_power_budget(config_.manager.cluster_power_bound_w,
                                             config_.manager.node_peak_w);
   }
-  // Name-based policy selection through the policy plane. The node-policy
-  // names are registered here too so tools resolving names (trace_dump,
-  // benches) work even when no manager module was constructed yet.
-  manager::register_builtin_node_policies();
+  // Name-based scheduler selection through the policy plane.
   if (!config_.sched_policy.empty()) {
     // The queue is empty at construction, so the policy-change kick is a
     // no-op and the event schedule stays byte-identical to the enum path.
@@ -335,18 +346,8 @@ void Scenario::record_tick() {
     if (!instance_->jobs().has_job(tracked.id)) continue;
     const flux::Job& job = instance_->jobs().job(tracked.id);
     if (job.state != flux::JobState::Run || job.ranks.empty()) continue;
-    hwsim::Node* node = instance_->node(job.ranks.front());
-    TimelinePoint p;
-    p.t_s = t;
-    const hwsim::Grants& g = node->grants();
-    p.node_w = g.total();
-    p.gpu_w.assign(g.gpu_w.begin(), g.gpu_w.end());
-    p.cpu_w.assign(g.cpu_w.begin(), g.cpu_w.end());
-    p.mem_w = g.mem_w;
-    for (int i = 0; i < node->gpu_count(); ++i) {
-      p.gpu_cap_w.push_back(node->gpu_power_cap(i).value_or(0.0));
-    }
-    timelines_[tracked.id].push_back(std::move(p));
+    timelines_[tracked.id].push_back(
+        timeline_point(t, *instance_->node(job.ranks.front())));
   }
 }
 
@@ -362,18 +363,7 @@ void Scenario::record_cell_tick(std::size_t cell) {
   for (flux::Rank r : ranks) draw += cluster_.node(r).node_draw_w();
   cs.draw.emplace_back(t, draw);
   for (const auto& [id, first] : cs.running) {
-    hwsim::Node* node = instance_->node(first);
-    TimelinePoint p;
-    p.t_s = t;
-    const hwsim::Grants& g = node->grants();
-    p.node_w = g.total();
-    p.gpu_w.assign(g.gpu_w.begin(), g.gpu_w.end());
-    p.cpu_w.assign(g.cpu_w.begin(), g.cpu_w.end());
-    p.mem_w = g.mem_w;
-    for (int i = 0; i < node->gpu_count(); ++i) {
-      p.gpu_cap_w.push_back(node->gpu_power_cap(i).value_or(0.0));
-    }
-    cs.timelines[id].push_back(std::move(p));
+    cs.timelines[id].push_back(timeline_point(t, *instance_->node(first)));
   }
 }
 

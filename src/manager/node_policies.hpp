@@ -3,7 +3,7 @@
 // Each NodePolicy enumerator maps to a policy::NodePolicyPlugin that acts
 // exclusively through the power-manager module's cap primitives (uniform
 // caps, the derived device budget, the FPP controller bank), so every watt
-// still flows through the existing push/batch/retry/quarantine machinery.
+// still flows through the existing push/retry/quarantine machinery.
 // The plugins observe pushed limits, job.progress events and the typed
 // PowerSample windows the module feeds the FPP engine.
 #pragma once
@@ -21,11 +21,5 @@ class PowerManagerModule;
 /// to a no-op plugin.
 std::unique_ptr<policy::NodePolicyPlugin> make_node_policy_plugin(
     PowerManagerModule& mod, NodePolicy policy);
-
-/// Register the built-in node policies (name -> NodePolicy code) with the
-/// process-wide PolicyEngine. Idempotent; called from module construction
-/// and scenario setup so name resolution works wherever fp_manager is
-/// linked.
-void register_builtin_node_policies();
 
 }  // namespace fluxpower::manager

@@ -119,11 +119,6 @@ struct PowerManagerConfig {
   /// Node-level enforcement loop period (budget re-derivation).
   double control_period_s = 10.0;
 
-  /// CPU time stolen per manager telemetry sweep. Default 0: in production
-  /// the manager shares the monitor's samples; the monitor carries the
-  /// overhead accounting.
-  double sample_cost_s = 0.0;
-
   /// Park unallocated nodes in the platform low-power state (deeper
   /// C-states, fans down) and wake them on allocation. Off by default to
   /// match the paper's experiments; the queue bench quantifies the saving.
@@ -164,7 +159,7 @@ struct PowerManagerConfig {
   /// the rank is quarantined — its budget is reserved at node_peak_w (it
   /// can no longer be trusted to enforce a cap) and the remainder is
   /// redistributed. Pushes continue as probes; the first applied ack
-  /// lifts the quarantine. 0 disables quarantine.
+  /// lifts the quarantine. Must be >= 1.
   int quarantine_threshold = 3;
   /// Timeout for each limit-push RPC before it counts as a strike.
   double push_timeout_s = 5.0;
@@ -178,17 +173,6 @@ struct PowerManagerConfig {
   /// noticed at the next allocation event. 0 (default) disables — the
   /// event-driven push traffic stays exactly as before.
   double limit_refresh_s = 0.0;
-  /// Coalesce cap-write fan-outs through the TBON: instead of one
-  /// set-node-limit RPC per rank from the root, each wave becomes one
-  /// set-limits-batch RPC per child carrying that subtree's {rank: watts}
-  /// map; brokers split it recursively and aggregate the per-rank acks on
-  /// the way back up, so the root's message count per wave drops from
-  /// O(nodes) to O(fanout). Off by default: batching changes the routed
-  /// message sequence, which shifts deterministic fault-injection
-  /// schedules — experiments that replay seeded fault weather must opt in
-  /// deliberately. Single-rank pushes (retry probes, quarantine probes)
-  /// stay unbatched either way.
-  bool batch_limit_pushes = false;
 
   FppConfig fpp;
   ProgressPolicyConfig progress;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <span>
+#include <stdexcept>
 
 #include "flux/instance.hpp"
 #include "manager/node_policies.hpp"
@@ -39,7 +41,12 @@ const char* node_policy_name(NodePolicy policy) noexcept {
 
 PowerManagerModule::PowerManagerModule(PowerManagerConfig config)
     : config_(config) {
-  register_builtin_node_policies();
+  // Every push is acknowledged and a failed ack is a strike; a threshold
+  // below one would quarantine a rank before its first strike counted.
+  if (config_.quarantine_threshold < 1) {
+    throw std::invalid_argument(
+        "PowerManagerConfig: quarantine_threshold must be >= 1");
+  }
   plugin_ = make_node_policy_plugin(*this, config_.node_policy);
 }
 
@@ -83,9 +90,6 @@ void PowerManagerModule::load(flux::Broker& broker) {
   broker.register_service(kSetNodeLimitTopic, [this](const Message& m) {
     handle_set_node_limit(m);
   });
-  broker.register_service(kSetNodeLimitBatchTopic, [this](const Message& m) {
-    handle_set_limits_batch(m);
-  });
   broker.register_service(kSetLowPowerTopic, [this](const Message& req) {
     if (!flux::Broker::request_is_owner(req)) {
       broker_->respond_error(req, flux::kEPerm,
@@ -103,7 +107,7 @@ void PowerManagerModule::load(flux::Broker& broker) {
     payload["rank"] = broker_->rank();
     payload["node_limit_w"] = node_limit_w_;
     payload["gpu_budget_w"] = last_gpu_budget_w_;
-    payload["policy"] = node_policy_name(config_.node_policy);
+    payload["policy"] = plugin_->name();
     payload["cap_retries"] = cap_retries();
     if (hwsim::Node* n = broker_->node()) {
       payload["node_draw_w"] = n->node_draw_w();
@@ -160,9 +164,6 @@ void PowerManagerModule::load(flux::Broker& broker) {
                ++i) {
             fpp_[i]->add_power_sample(per_domain[i]);
           }
-          if (config_.sample_cost_s > 0.0) {
-            n->add_stolen_time(config_.sample_cost_s);
-          }
           return true;
         });
     fft_task_ = std::make_unique<sim::PeriodicTask>(
@@ -208,8 +209,9 @@ void PowerManagerModule::load(flux::Broker& broker) {
         return;
       }
       const double bound = req.payload.number_or("bound_w", -1.0);
-      if (bound < 0.0) {
-        broker_->respond_error(req, flux::kEInval, "bound_w must be >= 0");
+      if (!std::isfinite(bound) || bound < 0.0) {
+        broker_->respond_error(req, flux::kEInval,
+                               "bound_w must be finite and >= 0");
         return;
       }
       config_.cluster_power_bound_w = bound;
@@ -226,19 +228,13 @@ void PowerManagerModule::load(flux::Broker& broker) {
       // allocation event.
       refresh_task_ = std::make_unique<sim::PeriodicTask>(
           broker.sim(), config_.limit_refresh_s, [this] {
-            std::map<flux::Rank, double> wave;
             for (const auto& [id, alloc] : allocations_) {
               if (alloc.node_power_w <= 0.0) continue;
               for (flux::Rank r : alloc.ranks) {
                 if (quarantined_.contains(r)) continue;  // probe loop owns it
-                if (config_.batch_limit_pushes) {
-                  wave[r] = alloc.node_power_w;
-                } else {
-                  push_node_limit(r, alloc.node_power_w);
-                }
+                push_node_limit(r, alloc.node_power_w);
               }
             }
-            push_node_limits_batch(wave);
             return true;
           });
     }
@@ -337,7 +333,6 @@ void PowerManagerModule::unload() {
       progress_subscription_ = 0;
     }
     broker_->unregister_service(kSetNodeLimitTopic);
-    broker_->unregister_service(kSetNodeLimitBatchTopic);
     broker_->unregister_service(kSetLowPowerTopic);
     broker_->unregister_service(kNodeStatusTopic);
     if (broker_->is_root()) {
@@ -448,21 +443,15 @@ void PowerManagerModule::reallocate() {
     }
   }
 
-  std::map<flux::Rank, double> wave;
   for (auto& [id, alloc] : allocations_) {
     const double node_power = shares.at(id);
     if (alloc.node_power_w == node_power) continue;  // unchanged
     alloc.node_power_w = node_power;
     alloc.job_power_w = node_power * static_cast<double>(alloc.ranks.size());
-    // job-level-manager: equal split over the job's nodes, pushed via RPC —
-    // per rank, or coalesced into one subtree wave when batching is on.
-    if (config_.batch_limit_pushes) {
-      for (flux::Rank r : alloc.ranks) wave[r] = node_power;
-    } else {
-      for (flux::Rank r : alloc.ranks) push_node_limit(r, node_power);
-    }
+    // job-level-manager: equal split over the job's nodes, one acknowledged
+    // RPC per rank.
+    for (flux::Rank r : alloc.ranks) push_node_limit(r, node_power);
   }
-  push_node_limits_batch(wave);
 
   if (config_.idle_low_power) update_idle_states();
 }
@@ -491,14 +480,9 @@ void PowerManagerModule::push_node_limit(flux::Rank rank, double limit_w) {
   limit_pushes_total_->inc();
   Json payload = Json::object();
   payload["limit_w"] = limit_w;
-  if (config_.quarantine_threshold <= 0) {
-    // Legacy fire-and-forget push (quarantine disabled).
-    broker_->send_request(rank, kSetNodeLimitTopic, std::move(payload));
-    return;
-  }
-  // Acknowledged push: the response (or its absence) feeds the strike
-  // counter. An RPC error, a timeout, and an ack with applied=false all
-  // mean the rank is not enforcing the limit we accounted for.
+  // The response (or its absence) feeds the strike counter. An RPC error,
+  // a timeout, and an ack with applied=false all mean the rank is not
+  // enforcing the limit we accounted for.
   broker_->rpc(
       rank, kSetNodeLimitTopic, std::move(payload),
       [this, rank](const Message& resp) {
@@ -621,25 +605,11 @@ void PowerManagerModule::handle_set_node_limit(const Message& req) {
     return;
   }
   const double limit = req.payload.number_or("limit_w", 0.0);
-  if (limit < 0.0) {
-    broker_->respond_error(req, flux::kEInval, "negative node limit");
+  if (!std::isfinite(limit) || limit < 0.0) {
+    broker_->respond_error(req, flux::kEInval,
+                           "node limit must be finite and >= 0");
     return;
   }
-  const auto [applied, retrying] = apply_node_limit(limit);
-  Json ack = Json::object();
-  ack["limit_w"] = node_limit_w_;
-  // applied=false with retrying=true means the caps did not land yet but
-  // the local backoff ladder is converging on them: the broker is alive
-  // and enforcing, so the root must not treat it like a dead rank. Only
-  // applied=false with no retry armed (never happens today) or an RPC
-  // timeout counts as a quarantine strike.
-  ack["applied"] = applied;
-  ack["retrying"] = retrying;
-  broker_->respond(req, std::move(ack));
-}
-
-std::pair<bool, bool> PowerManagerModule::apply_node_limit(double limit_w) {
-  const double limit = limit_w;
   const bool raised = limit > node_limit_w_ && node_limit_w_ > 0.0;
   const bool fresh = node_limit_w_ == 0.0;
   node_limit_w_ = limit;
@@ -661,155 +631,17 @@ std::pair<bool, bool> PowerManagerModule::apply_node_limit(double limit_w) {
   cap_retry_delay_s_ = 0.0;
   cap_attempt_start_s_ = -1.0;
   const bool applied = enforce_with_retry();
-  return {applied, cap_retry_pending()};
-}
-
-void PowerManagerModule::handle_set_limits_batch(const Message& req) {
-  if (!flux::Broker::request_is_owner(req)) {
-    broker_->respond_error(req, flux::kEPerm,
-                           "set-limits-batch requires instance-owner "
-                           "credentials");
-    return;
-  }
-  const Json limits = req.payload.contains("limits") ? req.payload.at("limits")
-                                                     : Json::object();
-
-  struct Pending {
-    Json acks = Json::object();
-    std::size_t outstanding = 0;
-    Message original;
-  };
-  auto pending = std::make_shared<Pending>();
-  pending->original = req;
-
-  // Own rank first: apply locally, exactly as a direct set-node-limit would
-  // (including the backoff-ladder restart), and self-ack.
-  if (const std::string own = std::to_string(broker_->rank());
-      limits.contains(own)) {
-    const double limit = limits.at(own).as_double();
-    Json ack = Json::object();
-    if (limit < 0.0) {
-      ack["applied"] = false;
-      ack["retrying"] = false;
-    } else {
-      const auto [applied, retrying] = apply_node_limit(limit);
-      ack["applied"] = applied;
-      ack["retrying"] = retrying;
-    }
-    pending->acks[own] = std::move(ack);
-  }
-
-  // Split the remaining ranks among child subtrees — the same partition the
-  // telemetry subtree merge uses, in the opposite direction.
-  const flux::Tbon& tbon = broker_->instance().tbon();
-  struct ChildRequest {
-    flux::Rank child;
-    Json sub = Json::object();
-    std::vector<flux::Rank> subset;
-    double timeout_s = 0.0;
-  };
-  std::vector<ChildRequest> child_requests;
-  for (flux::Rank child : tbon.children(broker_->rank())) {
-    ChildRequest cr;
-    cr.child = child;
-    int height = 0;
-    const int base = tbon.level(child);
-    for (flux::Rank r : tbon.subtree(child)) {
-      height = std::max(height, tbon.level(r) - base);
-      if (const std::string key = std::to_string(r); limits.contains(key)) {
-        cr.sub[key] = limits.at(key).as_double();
-        cr.subset.push_back(r);
-      }
-    }
-    // Deeper subtrees get proportionally longer: every level below adds a
-    // child round trip before this hop can aggregate its acks.
-    cr.timeout_s = config_.push_timeout_s * static_cast<double>(height + 1);
-    if (!cr.subset.empty()) child_requests.push_back(std::move(cr));
-  }
-
-  flux::Broker* broker = broker_;
-  auto respond_all = [broker](Pending& p) {
-    Json payload = Json::object();
-    payload["acks"] = std::move(p.acks);
-    broker->respond(p.original, std::move(payload));
-  };
-
-  if (child_requests.empty()) {
-    respond_all(*pending);
-    return;
-  }
-  pending->outstanding = child_requests.size();
-  for (ChildRequest& cr : child_requests) {
-    Json sub = Json::object();
-    sub["limits"] = std::move(cr.sub);
-    const std::vector<flux::Rank> subset = cr.subset;
-    broker->rpc(
-        cr.child, kSetNodeLimitBatchTopic, std::move(sub),
-        [pending, subset, respond_all](const Message& resp) {
-          // A missing ack — child RPC error, timeout, or a rank the child
-          // could not account for — reads as a failed push for that rank,
-          // matching the per-rank RPC's strike semantics.
-          for (flux::Rank r : subset) {
-            const std::string key = std::to_string(r);
-            if (!resp.is_error() && resp.payload.contains("acks") &&
-                resp.payload.at("acks").contains(key)) {
-              pending->acks[key] = resp.payload.at("acks").at(key);
-            } else {
-              Json ack = Json::object();
-              ack["applied"] = false;
-              ack["retrying"] = false;
-              pending->acks[key] = std::move(ack);
-            }
-          }
-          if (--pending->outstanding == 0) respond_all(*pending);
-        },
-        cr.timeout_s);
-  }
-}
-
-void PowerManagerModule::push_node_limits_batch(
-    const std::map<flux::Rank, double>& limits) {
-  if (limits.empty()) return;
-  limit_pushes_total_->inc(limits.size());
-  Json payload = Json::object();
-  Json jl = Json::object();
-  for (const auto& [rank, watts] : limits) {
-    jl[std::to_string(rank)] = watts;
-  }
-  payload["limits"] = std::move(jl);
-  // The whole wave is one self-RPC: the root's own handler applies the
-  // local share and fans the rest down the tree, so the push path is the
-  // same code at every level. Timeout covers a full tree descent.
-  const double timeout_s =
-      config_.push_timeout_s *
-      static_cast<double>(broker_->instance().tbon().height() + 2);
-  if (config_.quarantine_threshold <= 0) {
-    // Legacy fire-and-forget semantics: nobody reads the acks.
-    broker_->rpc(
-        broker_->rank(), kSetNodeLimitBatchTopic, std::move(payload),
-        [](const Message&) {}, timeout_s);
-    return;
-  }
-  std::vector<flux::Rank> ranks;
-  ranks.reserve(limits.size());
-  for (const auto& [rank, watts] : limits) ranks.push_back(rank);
-  broker_->rpc(
-      broker_->rank(), kSetNodeLimitBatchTopic, std::move(payload),
-      [this, ranks](const Message& resp) {
-        for (flux::Rank r : ranks) {
-          const std::string key = std::to_string(r);
-          bool applied = false;
-          bool retrying = false;
-          if (!resp.is_error() && resp.payload.contains("acks") &&
-              resp.payload.at("acks").contains(key)) {
-            const Json& ack = resp.payload.at("acks").at(key);
-            applied = ack.bool_or("applied", true);
-            retrying = ack.bool_or("retrying", false);
-          }
-          record_push_result(r, applied, retrying);
-        }
-      },
-      timeout_s);
+  const bool retrying = cap_retry_pending();
+  Json ack = Json::object();
+  ack["limit_w"] = node_limit_w_;
+  // applied=false with retrying=true means the caps did not land yet but
+  // the local backoff ladder is converging on them: the broker is alive
+  // and enforcing, so the root must not treat it like a dead rank. Only
+  // applied=false with no retry armed (never happens today) or an RPC
+  // timeout counts as a quarantine strike.
+  ack["applied"] = applied;
+  ack["retrying"] = retrying;
+  broker_->respond(req, std::move(ack));
 }
 
 bool PowerManagerModule::manages_gpus() const {
@@ -951,16 +783,8 @@ void PowerManagerModule::engage_emergency() {
   const double deep = config_.cluster_power_bound_w /
                       static_cast<double>(broker_->instance().size()) *
                       config_.emergency_margin;
-  if (config_.batch_limit_pushes) {
-    std::map<flux::Rank, double> wave;
-    for (flux::Rank r = 0; r < broker_->instance().size(); ++r) {
-      wave[r] = deep;
-    }
-    push_node_limits_batch(wave);
-  } else {
-    for (flux::Rank r = 0; r < broker_->instance().size(); ++r) {
-      push_node_limit(r, deep);
-    }
+  for (flux::Rank r = 0; r < broker_->instance().size(); ++r) {
+    push_node_limit(r, deep);
   }
   Json payload = Json::object();
   payload["engaged"] = true;

@@ -32,11 +32,6 @@
 namespace fluxpower::manager {
 
 inline constexpr const char* kSetNodeLimitTopic = "power-manager.set-node-limit";
-/// Coalesced cap fan-out: one request per TBON child carrying the whole
-/// subtree's {rank: watts} map under "limits"; the response aggregates the
-/// per-rank {applied, retrying} acks under "acks".
-inline constexpr const char* kSetNodeLimitBatchTopic =
-    "power-manager.set-limits-batch";
 inline constexpr const char* kClusterStatusTopic = "power-manager.cluster-status";
 inline constexpr const char* kNodeStatusTopic = "power-manager.node-status";
 inline constexpr const char* kSetClusterBoundTopic =
@@ -46,6 +41,7 @@ inline constexpr const char* kHistoryTopic = "power-manager.history";
 
 class PowerManagerModule final : public flux::Module {
  public:
+  /// Throws std::invalid_argument when config.quarantine_threshold < 1.
   explicit PowerManagerModule(PowerManagerConfig config = {});
   ~PowerManagerModule() override;
 
@@ -127,12 +123,9 @@ class PowerManagerModule final : public flux::Module {
   void on_job_event(const flux::Message& event);
   void reallocate();
   void update_idle_states();
+  /// Acknowledged per-rank push; the ack (or its absence) feeds
+  /// record_push_result.
   void push_node_limit(flux::Rank rank, double limit_w);
-  /// Coalesced wave push: one set-limits-batch RPC per TBON child covering
-  /// its whole subtree, acks fed rank-by-rank into the same strike/clear
-  /// bookkeeping as the per-rank path. Root only; used by reallocate,
-  /// limit refresh and emergency when `batch_limit_pushes` is on.
-  void push_node_limits_batch(const std::map<flux::Rank, double>& limits);
   /// Strike/clear bookkeeping for a limit-push outcome; drives quarantine.
   /// `retrying` means the rank answered but its local backoff ladder is
   /// still converging — responsive, so neither a strike nor a clear.
@@ -149,12 +142,6 @@ class PowerManagerModule final : public flux::Module {
 
   // Node-level-manager (all ranks).
   void handle_set_node_limit(const flux::Message& req);
-  /// Recursive half of the coalesced fan-out: apply the own-rank limit,
-  /// split the remainder among child subtrees, merge the ack maps upward.
-  void handle_set_limits_batch(const flux::Message& req);
-  /// Accept a pushed limit and start enforcement; returns {applied,
-  /// retrying} exactly as the set-node-limit ack reports them.
-  std::pair<bool, bool> apply_node_limit(double limit_w);
   /// Apply the active limit through the node-policy plugin; false when any
   /// cap write failed transiently (CapStatus::IoError) — permanent
   /// refusals are not failures.

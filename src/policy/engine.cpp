@@ -51,26 +51,4 @@ std::vector<PolicyInfo> PolicyEngine::sched_policies() const {
   return out;
 }
 
-void PolicyEngine::register_node(std::string name, std::string summary,
-                                 int code) {
-  if (node_.contains(name)) return;
-  node_order_.push_back(name);
-  node_.emplace(std::move(name), NodeEntry{std::move(summary), code});
-}
-
-std::optional<int> PolicyEngine::node_code(std::string_view name) const {
-  const auto it = node_.find(name);
-  if (it == node_.end()) return std::nullopt;
-  return it->second.code;
-}
-
-std::vector<PolicyInfo> PolicyEngine::node_policies() const {
-  std::vector<PolicyInfo> out;
-  out.reserve(node_order_.size());
-  for (const std::string& n : node_order_) {
-    out.push_back({n, node_.at(n).summary});
-  }
-  return out;
-}
-
 }  // namespace fluxpower::policy

@@ -1,19 +1,16 @@
-// engine.hpp — PolicyEngine: the registry both policy planes dispatch
-// through.
+// engine.hpp — PolicyEngine: the scheduler-policy name registry.
 //
-// One process-wide engine maps policy names to factories (scheduler side)
-// and to node-policy codes (manager side). Registration is explicit and
-// idempotent — no static-initializer self-registration, which a static-lib
-// link would silently dead-strip. The scheduler built-ins register in the
-// engine constructor; the manager's node policies register through
-// manager::register_builtin_node_policies() (called at scenario/module
-// setup, where the manager library is guaranteed to be linked).
+// One process-wide engine maps scheduler policy names to factories.
+// Registration is explicit and idempotent — no static-initializer
+// self-registration, which a static-lib link would silently dead-strip.
+// The built-ins register in the engine constructor. Node policies need no
+// registry: the power-manager module constructs its plugin from
+// manager::NodePolicy, and each plugin reports its own name().
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,27 +47,14 @@ class PolicyEngine {
   std::unique_ptr<SchedulerPolicy> make_sched(std::string_view name) const;
   std::vector<PolicyInfo> sched_policies() const;
 
-  // -- node policies ---------------------------------------------------------
-  /// Node policies are constructed by their owning module; the engine
-  /// resolves names to the module's policy code (manager::NodePolicy value).
-  void register_node(std::string name, std::string summary, int code);
-  std::optional<int> node_code(std::string_view name) const;
-  std::vector<PolicyInfo> node_policies() const;
-
  private:
   struct SchedEntry {
     std::string summary;
     SchedFactory factory;
   };
-  struct NodeEntry {
-    std::string summary;
-    int code = 0;
-  };
   /// Registration order preserved for list surfaces.
   std::vector<std::string> sched_order_;
   std::map<std::string, SchedEntry, std::less<>> sched_;
-  std::vector<std::string> node_order_;
-  std::map<std::string, NodeEntry, std::less<>> node_;
 };
 
 }  // namespace fluxpower::policy

@@ -18,7 +18,7 @@
 //     the host module's telemetry (typed PowerSample windows via the FPP
 //     engine, obs gauges via the broker registry), and acts through the
 //     module's cap primitives — every watt written to hardware still flows
-//     through the existing push/batch/retry/quarantine machinery.
+//     through the existing push/retry/quarantine machinery.
 //
 // Determinism rules (DESIGN.md "Policy plane"):
 //   * Policies must be pure functions of their observed inputs: no wall

@@ -85,7 +85,7 @@ void encode_manager(ByteWriter& w, const manager::PowerManagerConfig& m) {
   w.f64(m.static_node_cap_w);
   put_enum(w, m.node_policy);
   w.f64(m.control_period_s);
-  w.f64(m.sample_cost_s);
+  w.f64(0.0);  // retired manager sample_cost_s slot
   w.boolean(m.idle_low_power);
   w.f64(m.history_period_s);
   w.u64(m.history_capacity);
@@ -100,7 +100,7 @@ void encode_manager(ByteWriter& w, const manager::PowerManagerConfig& m) {
   w.f64(m.push_timeout_s);
   w.f64(m.quarantine_probe_s);
   w.f64(m.limit_refresh_s);
-  w.boolean(m.batch_limit_pushes);
+  w.boolean(false);  // retired batched-limit-push flag slot
 
   const manager::FppConfig& fpp = m.fpp;
   w.f64(fpp.converge_th_s);
@@ -139,7 +139,10 @@ manager::PowerManagerConfig decode_manager(ByteReader& r,
       r, static_cast<std::uint32_t>(manager::NodePolicy::PiBound),
       "NodePolicy");
   m.control_period_s = r.f64();
-  m.sample_cost_s = r.f64();
+  if (r.f64() != 0.0) {
+    throw CodecError(
+        "TwinSpec: manager sample_cost_s is retired and must be 0");
+  }
   m.idle_low_power = r.boolean();
   m.history_period_s = r.f64();
   m.history_capacity = static_cast<std::size_t>(r.u64());
@@ -154,7 +157,10 @@ manager::PowerManagerConfig decode_manager(ByteReader& r,
   m.push_timeout_s = r.f64();
   m.quarantine_probe_s = r.f64();
   m.limit_refresh_s = r.f64();
-  m.batch_limit_pushes = r.boolean();
+  if (r.boolean()) {
+    throw CodecError(
+        "TwinSpec: batched limit pushes are retired; the flag must be false");
+  }
 
   manager::FppConfig& fpp = m.fpp;
   fpp.converge_th_s = r.f64();

@@ -30,6 +30,10 @@ namespace fluxpower::twin {
 /// block, the scheduler policy name after workers, and per-job
 /// eco_tolerance; older specs decode with the defaults (empty name = FCFS,
 /// tolerance 0 = not enrolled).
+/// Two manager slots are retired but kept in place so existing digests do
+/// not move: the manager's sample_cost_s is always written 0.0 and its
+/// batched-limit-push flag always false. decode() rejects any other value
+/// rather than silently materializing a different scenario.
 inline constexpr std::uint32_t kSpecVersion = 3;
 
 struct TwinSpec {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "apps/launcher.hpp"
 #include "flux/instance.hpp"
 #include "hwsim/cluster.hpp"
@@ -231,6 +234,57 @@ TEST_F(ManagerTest, RejectsNegativeNodeLimit) {
                         [&](const flux::Message& m) { errnum = m.errnum; });
   sim_.run_until(1.0);
   EXPECT_EQ(errnum, flux::kEInval);
+}
+
+TEST_F(ManagerTest, RejectsNonFiniteNodeLimitAndKeepsState) {
+  PowerManagerConfig cfg;
+  cfg.node_policy = NodePolicy::DirectGpuBudget;
+  build(2, cfg);
+  double t = 0.0;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    util::Json payload = util::Json::object();
+    payload["limit_w"] = bad;
+    int errnum = 0;
+    instance_->root().rpc(1, kSetNodeLimitTopic, std::move(payload),
+                          [&](const flux::Message& m) { errnum = m.errnum; });
+    sim_.run_until(t += 1.0);
+    EXPECT_EQ(errnum, flux::kEInval) << bad;
+    EXPECT_DOUBLE_EQ(module(1)->node_limit_w(), 0.0) << bad;
+    EXPECT_FALSE(cluster_.node(1).gpu_power_cap(0).has_value()) << bad;
+  }
+}
+
+TEST(ManagerConfig, RejectsQuarantineThresholdBelowOne) {
+  PowerManagerConfig cfg;
+  cfg.quarantine_threshold = 0;
+  EXPECT_THROW(PowerManagerModule{cfg}, std::invalid_argument);
+  cfg.quarantine_threshold = -1;
+  EXPECT_THROW(PowerManagerModule{cfg}, std::invalid_argument);
+  cfg.quarantine_threshold = 1;
+  EXPECT_NO_THROW(PowerManagerModule{cfg});
+}
+
+TEST_F(ManagerTest, DeadLeafRankStrikesIntoQuarantine) {
+  PowerManagerConfig cfg;
+  cfg.cluster_power_bound_w = 9600.0;
+  cfg.node_policy = NodePolicy::DirectGpuBudget;
+  cfg.quarantine_threshold = 2;
+  cfg.push_timeout_s = 1.0;
+  cfg.limit_refresh_s = 3.0;
+  build(8, cfg);
+  submit("gemm", 8, 4.0);
+  sim_.run_until(10.0);
+  ASSERT_EQ(module(0)->quarantined().size(), 0u);
+
+  // Kill a leaf's node-level-manager: every refresh push to it now fails,
+  // and the root's strike counter must quarantine it — and only it.
+  const flux::Rank victim = 7;
+  instance_->broker(victim).unload_module("power-manager");
+  sim_.run_until(40.0);
+  EXPECT_TRUE(module(0)->quarantined().contains(victim));
+  EXPECT_GE(module(0)->quarantine_events(), 1u);
+  EXPECT_EQ(module(0)->quarantined().size(), 1u);
 }
 
 TEST_F(ManagerTest, ClusterDrawNeverExceedsBoundUnderProportionalSharing) {

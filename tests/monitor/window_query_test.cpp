@@ -1,6 +1,8 @@
 // Tests for the ad-hoc window query and adjacent operator surfaces.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "experiments/scenario.hpp"
 #include "manager/power_manager.hpp"
 #include "monitor/client.hpp"
@@ -102,6 +104,32 @@ TEST(ClusterBoundRpc, GuestDeniedOwnerAccepted) {
                           });
   s.sim().run_until(3.0);
   EXPECT_EQ(errnum, flux::kEInval);
+}
+
+TEST(ClusterBoundRpc, NonFiniteBoundRejectedAndKeepsState) {
+  experiments::ScenarioConfig cfg;
+  cfg.nodes = 2;
+  cfg.load_manager = true;
+  cfg.manager.cluster_power_bound_w = 4000.0;
+  experiments::Scenario s(cfg);
+  const auto* mgr = dynamic_cast<const manager::PowerManagerModule*>(
+      s.instance().root().find_module("power-manager"));
+  ASSERT_NE(mgr, nullptr);
+
+  double t = 0.0;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    util::Json payload = util::Json::object();
+    payload["bound_w"] = bad;
+    int errnum = -1;
+    s.instance().root().rpc(flux::kRootRank, manager::kSetClusterBoundTopic,
+                            std::move(payload), [&](const flux::Message& m) {
+                              errnum = m.errnum;
+                            });
+    s.sim().run_until(t += 1.0);
+    EXPECT_EQ(errnum, flux::kEInval) << bad;
+    EXPECT_DOUBLE_EQ(mgr->config().cluster_power_bound_w, 4000.0) << bad;
+  }
 }
 
 TEST(NodeStatus, ReportsMeasuredDraw) {

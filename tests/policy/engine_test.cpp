@@ -1,11 +1,11 @@
-// Tests for the PolicyEngine registry and the built-in scheduler policies'
-// decision semantics (the observe/act contracts of src/policy).
+// Tests for the PolicyEngine registry, the built-in scheduler policies'
+// decision semantics (the observe/act contracts of src/policy) and the
+// node-policy plugin names.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "manager/node_policies.hpp"
-#include "manager/policy.hpp"
+#include "manager/power_manager.hpp"
 #include "policy/engine.hpp"
 #include "policy/sched_policies.hpp"
 #include "policy/state_codec.hpp"
@@ -53,25 +53,19 @@ TEST(PolicyEngineTest, RegistrationIsIdempotent) {
   EXPECT_EQ(engine.sched_policies().size(), before);
 }
 
-TEST(PolicyEngineTest, NodePolicyCodesMatchEnum) {
-  manager::register_builtin_node_policies();
-  manager::register_builtin_node_policies();  // idempotent
-  PolicyEngine& engine = PolicyEngine::global();
+// The two node-policy name tables that remain — node_policy_name() (twin
+// and bench labels) and each plugin's name() (node-status "policy") — must
+// agree for every enumerator.
+TEST(NodePolicyNames, PluginNameMatchesNodePolicyName) {
   using manager::NodePolicy;
-  const std::pair<const char*, NodePolicy> expected[] = {
-      {"none", NodePolicy::None},
-      {"ibm-default", NodePolicy::IbmDefaultNodeCap},
-      {"gpu-budget", NodePolicy::DirectGpuBudget},
-      {"fpp", NodePolicy::Fpp},
-      {"progress", NodePolicy::ProgressBased},
-      {"pi-bound", NodePolicy::PiBound},
-  };
-  for (const auto& [name, value] : expected) {
-    const auto code = engine.node_code(name);
-    ASSERT_TRUE(code.has_value()) << name;
-    EXPECT_EQ(*code, static_cast<int>(value)) << name;
+  for (int v = 0; v <= static_cast<int>(NodePolicy::PiBound); ++v) {
+    const auto p = static_cast<NodePolicy>(v);
+    manager::PowerManagerConfig cfg;
+    cfg.node_policy = p;
+    const manager::PowerManagerModule mod(cfg);
+    EXPECT_STREQ(mod.node_plugin().name(), manager::node_policy_name(p))
+        << "NodePolicy value " << v;
   }
-  EXPECT_FALSE(engine.node_code("no-such-node-policy").has_value());
 }
 
 TEST(SchedPolicyTest, FcfsAlwaysStartsAndNeverBackfills) {
