@@ -27,18 +27,11 @@ class ArmGraceNode final : public Node {
   ArmGraceNode(sim::Simulation& sim, std::string hostname,
                ArmGraceConfig config = {});
 
-  int socket_count() const override { return config_.sockets; }
-  int gpu_count() const override { return 0; }
   const char* vendor_name() const override { return "arm_grace"; }
 
   PowerSample read_sensors() override;
 
-  CapResult do_set_socket_power_cap(int socket, double watts) override;
-
   const ArmGraceConfig& config() const noexcept { return config_; }
-
- protected:
-  Grants compute_grants(const LoadDemand& demand) const override;
 
  private:
   ArmGraceConfig config_;

@@ -1,16 +1,21 @@
 #include "hwsim/cray_ex235a.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace fluxpower::hwsim {
 
 CrayEx235aNode::CrayEx235aNode(sim::Simulation& sim, std::string hostname,
                                CrayEx235aConfig config)
-    : Node(sim, std::move(hostname),
-           make_idle_floor("CrayEx235aConfig", config.sockets,
-                           config.cpu_idle_w, config.gcds, config.gcd_idle_w,
-                           config.mem_idle_w)),
+    : Node(sim, std::move(hostname), "CrayEx235aConfig",
+           {.sockets = config.sockets,
+            // The firmware clamps caps down to the idle draw.
+            .cpu = {config.cpu_idle_w, config.cpu_idle_w, config.cpu_max_w},
+            .gpus = config.gcds,
+            .gpu = {config.gcd_idle_w, config.gcd_idle_w, config.gcd_max_w},
+            .mem_idle_w = config.mem_idle_w,
+            .mem_max_w = config.mem_max_w,
+            .base_w = config.base_w,
+            .caps_fused_off = !config.capping_enabled_for_users}),
       config_(config) {
   if (config_.gcds % 2 != 0) {
     // Telemetry is per OAM; half a module has no sensor.
@@ -18,55 +23,7 @@ CrayEx235aNode::CrayEx235aNode(sim::Simulation& sim, std::string hostname,
                                 std::to_string(config_.gcds) +
                                 " GCDs is odd (2 GCDs per OAM)");
   }
-  gpu_caps_.assign(static_cast<std::size_t>(config_.gcds), std::nullopt);
-  socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
   refresh(true);  // initial grants at idle draw
-}
-
-CapResult CrayEx235aNode::do_set_gpu_power_cap(int gpu, double watts) {
-  if (gpu < 0 || gpu >= config_.gcds) {
-    return {CapStatus::OutOfRange, std::nullopt};
-  }
-  if (!config_.capping_enabled_for_users) {
-    return {CapStatus::PermissionDenied, std::nullopt};
-  }
-  const double applied = std::clamp(watts, config_.gcd_idle_w, config_.gcd_max_w);
-  store_cap(gpu_caps_[static_cast<std::size_t>(gpu)], applied);
-  return {applied == watts ? CapStatus::Ok : CapStatus::Clamped, applied};
-}
-
-CapResult CrayEx235aNode::do_set_socket_power_cap(int socket, double watts) {
-  if (socket < 0 || socket >= config_.sockets) {
-    return {CapStatus::OutOfRange, std::nullopt};
-  }
-  if (!config_.capping_enabled_for_users) {
-    return {CapStatus::PermissionDenied, std::nullopt};
-  }
-  const double applied = std::clamp(watts, config_.cpu_idle_w, config_.cpu_max_w);
-  store_cap(socket_caps_[static_cast<std::size_t>(socket)], applied);
-  return {applied == watts ? CapStatus::Ok : CapStatus::Clamped, applied};
-}
-
-Grants CrayEx235aNode::compute_grants(const LoadDemand& demand) const {
-  Grants g;
-  g.base_w = config_.base_w;
-  g.mem_w = std::min(demand.mem_w, config_.mem_max_w);
-
-  g.gpu_w.resize(demand.gpu_w.size());
-  for (std::size_t i = 0; i < demand.gpu_w.size(); ++i) {
-    double limit = config_.gcd_max_w;
-    if (i < gpu_caps_.size() && gpu_caps_[i]) limit = std::min(limit, *gpu_caps_[i]);
-    g.gpu_w[i] = std::min(demand.gpu_w[i], std::max(limit, config_.gcd_idle_w));
-  }
-  g.cpu_w.resize(demand.cpu_w.size());
-  for (std::size_t i = 0; i < demand.cpu_w.size(); ++i) {
-    double limit = config_.cpu_max_w;
-    if (i < socket_caps_.size() && socket_caps_[i]) {
-      limit = std::min(limit, *socket_caps_[i]);
-    }
-    g.cpu_w[i] = std::min(demand.cpu_w[i], std::max(limit, config_.cpu_idle_w));
-  }
-  return g;
 }
 
 PowerSample CrayEx235aNode::read_sensors() {

@@ -40,20 +40,12 @@ class CrayEx235aNode final : public Node {
   CrayEx235aNode(sim::Simulation& sim, std::string hostname,
                  CrayEx235aConfig config = {});
 
-  int socket_count() const override { return config_.sockets; }
-  int gpu_count() const override { return config_.gcds; }
   int oam_count() const { return config_.gcds / 2; }
   const char* vendor_name() const override { return "amd_trento_mi250x"; }
 
   PowerSample read_sensors() override;
 
-  CapResult do_set_gpu_power_cap(int gpu, double watts) override;
-  CapResult do_set_socket_power_cap(int socket, double watts) override;
-
   const CrayEx235aConfig& config() const noexcept { return config_; }
-
- protected:
-  Grants compute_grants(const LoadDemand& demand) const override;
 
  private:
   CrayEx235aConfig config_;

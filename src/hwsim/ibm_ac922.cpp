@@ -8,12 +8,18 @@ namespace fluxpower::hwsim {
 
 IbmAc922Node::IbmAc922Node(sim::Simulation& sim, std::string hostname,
                            IbmAc922Config config)
-    : Node(sim, std::move(hostname),
-           make_idle_floor("IbmAc922Config", config.sockets, config.cpu_idle_w,
-                           config.gpus, config.gpu_idle_w, config.mem_idle_w)),
+    : Node(sim, std::move(hostname), "IbmAc922Config",
+           {.sockets = config.sockets,
+            // No per-socket cap interface: the OCC throttles CPUs itself.
+            .cpu = {.idle_w = config.cpu_idle_w,
+                    .max_w = config.cpu_max_w,
+                    .cappable = false},
+            .gpus = config.gpus,
+            .gpu = {config.gpu_idle_w, config.gpu_min_cap_w, config.gpu_max_w},
+            .mem_idle_w = config.mem_idle_w,
+            .mem_max_w = config.mem_max_w,
+            .base_w = config.base_w}),
       config_(config) {
-  gpu_caps_.assign(static_cast<std::size_t>(config_.gpus), std::nullopt);
-  socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
   wedged_.assign(static_cast<std::size_t>(config_.gpus), false);
   gpu_cap_epochs_.assign(static_cast<std::size_t>(config_.gpus), 0);
   refresh(true);  // initial grants at idle draw
@@ -59,15 +65,9 @@ double IbmAc922Node::derived_gpu_cap(double node_cap_w) const {
 }
 
 CapResult IbmAc922Node::do_set_node_power_cap(double watts) {
-  CapStatus status = CapStatus::Ok;
-  double applied = watts;
-  if (watts < config_.node_soft_min_cap_w) {
-    applied = config_.node_soft_min_cap_w;
-    status = CapStatus::Clamped;
-  } else if (watts > config_.node_max_cap_w) {
-    applied = config_.node_max_cap_w;
-    status = CapStatus::Clamped;
-  }
+  const CapResult result = clamp_cap(watts, config_.node_soft_min_cap_w,
+                                     config_.node_max_cap_w);
+  const double applied = *result.applied_watts;
   if (config_.node_cap_latency_s > 0.0) {
     // OPAL settles the cap asynchronously: the write is acknowledged now,
     // enforcement changes once the firmware converges (last writer wins).
@@ -76,10 +76,10 @@ CapResult IbmAc922Node::do_set_node_power_cap(double watts) {
       if (epoch != node_cap_epoch_) return;  // superseded by a newer write
       store_cap(node_cap_, applied);
     });
-    return {status, applied};
+    return result;
   }
   store_cap(node_cap_, applied);
-  return {status, applied};
+  return result;
 }
 
 CapResult IbmAc922Node::do_clear_node_power_cap() {
@@ -113,26 +113,20 @@ CapResult IbmAc922Node::do_set_gpu_power_cap(int gpu, double watts) {
     return {CapStatus::Ok, gpu_caps_[idx]};
   }
 
-  CapStatus status = CapStatus::Ok;
-  double applied = watts;
-  if (watts < config_.gpu_min_cap_w) {
-    applied = config_.gpu_min_cap_w;
-    status = CapStatus::Clamped;
-  } else if (watts > config_.gpu_max_w) {
-    applied = config_.gpu_max_w;
-    status = CapStatus::Clamped;
-  }
+  const CapResult result =
+      clamp_cap(watts, config_.gpu_min_cap_w, config_.gpu_max_w);
+  const double applied = *result.applied_watts;
   if (config_.gpu_cap_latency_s > 0.0) {
     const std::uint64_t epoch = ++gpu_cap_epochs_[idx];
     sim_.schedule_after(config_.gpu_cap_latency_s, [this, idx, applied, epoch] {
       if (epoch != gpu_cap_epochs_[idx]) return;
       store_gpu_cap(idx, applied, /*wedged=*/false);
     });
-    return {status, applied};
+    return result;
   }
   // A successful write un-wedges the GPU.
   store_gpu_cap(idx, applied, /*wedged=*/false);
-  return {status, applied};
+  return result;
 }
 
 void IbmAc922Node::store_gpu_cap(std::size_t idx, double watts, bool wedged) {

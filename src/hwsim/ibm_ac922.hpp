@@ -62,8 +62,6 @@ class IbmAc922Node final : public Node {
   IbmAc922Node(sim::Simulation& sim, std::string hostname,
                IbmAc922Config config = {});
 
-  int socket_count() const override { return config_.sockets; }
-  int gpu_count() const override { return config_.gpus; }
   const char* vendor_name() const override { return "ibm_power9"; }
 
   PowerSample read_sensors() override;

@@ -33,22 +33,15 @@ class IntelXeonNode final : public Node {
   IntelXeonNode(sim::Simulation& sim, std::string hostname,
                 IntelXeonConfig config = {});
 
-  int socket_count() const override { return config_.sockets; }
-  int gpu_count() const override { return config_.gpus; }
   const char* vendor_name() const override { return "intel_xeon"; }
 
   PowerSample read_sensors() override;
 
-  CapResult do_set_socket_power_cap(int socket, double watts) override;
-  CapResult do_set_gpu_power_cap(int gpu, double watts) override;
-  // set_node_power_cap intentionally not overridden: no node dial exists
-  // in the hardware; node capping must go through Variorum's best-effort
-  // socket distribution.
+  // Socket and GPU caps follow the shared rule (RAPL PL1 floor as the
+  // minimum cap). No node dial exists in the hardware; node capping must
+  // go through Variorum's best-effort socket distribution.
 
   const IntelXeonConfig& config() const noexcept { return config_; }
-
- protected:
-  Grants compute_grants(const LoadDemand& demand) const override;
 
  private:
   IntelXeonConfig config_;

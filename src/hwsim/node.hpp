@@ -1,11 +1,16 @@
-// node.hpp — abstract compute-node model.
+// node.hpp — compute-node model and the vendor-neutral capping rule.
 //
-// A Node owns the vendor-neutral state every platform shares (hostname,
-// workload demand, energy meter, sensor noise) and defers two things to the
-// vendor subclass: how demand + caps become *granted* power
-// (compute_grants) and which sensors exist (sample). All power-management
-// software in this repository — Variorum, the monitor, the manager — touches
-// hardware exclusively through this interface.
+// A Node owns the state every platform shares (hostname, workload demand,
+// energy meter, sensor noise, cap registers) and the one capping rule the
+// vendors share: each CPU/GPU domain has a power envelope (idle floor,
+// minimum cap, maximum); a cap write is checked, clamped into it and
+// stored; a domain's grant is its demand limited by its cap, never below
+// idle. A vendor subclass describes its envelope and keeps only what its
+// hardware does differently: which sensors exist (read_sensors) and, on
+// the IBM AC922, the OPAL node dial, NVML's failures and the OCC's grant
+// rule. All power-management software in this repository — Variorum, the
+// monitor, the manager — touches hardware exclusively through this
+// interface.
 #pragma once
 
 #include <memory>
@@ -38,11 +43,38 @@ class NodeFaultTap {
 };
 
 class Node {
+ protected:
+  /// Power envelope of one CPU or GPU domain, as its firmware defines it.
+  struct DomainRange {
+    double idle_w = 0.0;     ///< draw at zero load; no cap grants less
+    double min_cap_w = 0.0;  ///< lowest cap the firmware accepts
+    double max_w = 0.0;      ///< uncapped maximum draw
+    bool cappable = true;    ///< false: no cap interface (Unsupported)
+  };
+
+  /// What a vendor tells the shared rule about its node.
+  struct Envelope {
+    int sockets = 0;
+    DomainRange cpu;
+    int gpus = 0;  ///< GPUs, or GCDs on AMD
+    DomainRange gpu;
+    double mem_idle_w = 0.0;
+    double mem_max_w = 0.0;
+    double base_w = 0.0;  ///< fans, board, uncore; constant
+    /// Capping exists in hardware but the firmware refuses user writes
+    /// (PermissionDenied).
+    bool caps_fused_off = false;
+  };
+
  public:
-  /// `idle_floor` is the vendor's per-domain draw at zero load; it is fixed
-  /// for the node's lifetime, so it and its low-power variant are computed
-  /// once here.
-  Node(sim::Simulation& sim, std::string hostname, LoadDemand idle_floor);
+  /// The idle floor (each domain's draw at zero load) and its low-power
+  /// variant are fixed for the node's lifetime, so they are computed once
+  /// here. Per-domain arrays are inline, so socket counts outside
+  /// [0, kMaxSockets] and GPU counts outside [0, kMaxGpuSensors] throw
+  /// std::invalid_argument naming `config`. The vendor constructor calls
+  /// refresh(true) once its own state exists.
+  Node(sim::Simulation& sim, std::string hostname, const char* config,
+       const Envelope& envelope);
   virtual ~Node() = default;
 
   Node(const Node&) = delete;
@@ -51,8 +83,12 @@ class Node {
   const std::string& hostname() const noexcept { return hostname_; }
   sim::Simulation& simulation() noexcept { return sim_; }
 
-  virtual int socket_count() const = 0;
-  virtual int gpu_count() const = 0;
+  int socket_count() const noexcept {
+    return static_cast<int>(idle_floor_.cpu_w.size());
+  }
+  int gpu_count() const noexcept {
+    return static_cast<int>(idle_floor_.gpu_w.size());
+  }
   virtual const char* vendor_name() const = 0;
 
   /// Idle power floors (absolute watts at zero load).
@@ -140,50 +176,47 @@ class Node {
   // -- Capping --------------------------------------------------------------
   // Public entry points are non-virtual: they consult the fault tap (a
   // faulted write returns CapStatus::IoError without reaching the firmware)
-  // and then defer to the protected vendor virtuals below.
+  // and then apply the shared rule or the vendor's override below.
 
   /// Node-level power cap (direct hardware support on IBM AC922 only).
   CapResult set_node_power_cap(double watts);
   CapResult clear_node_power_cap();
-  virtual std::optional<double> node_power_cap() const { return node_cap_; }
+  std::optional<double> node_power_cap() const { return node_cap_; }
 
   /// Per-GPU power cap (NVML on Lassen; ROCm-SMI on Tioga, fused off).
   CapResult set_gpu_power_cap(int gpu, double watts);
-  virtual std::optional<double> gpu_power_cap(int gpu) const;
+  std::optional<double> gpu_power_cap(int gpu) const;
 
   /// Per-socket cap (RAPL-style; used by best-effort node capping on
   /// platforms without a node dial).
   CapResult set_socket_power_cap(int socket, double watts);
-  virtual std::optional<double> socket_power_cap(int socket) const;
+  std::optional<double> socket_power_cap(int socket) const;
 
  protected:
-  /// Idle floor of a vendor config (the constructor's `idle_floor`):
-  /// `sockets` CPU sockets and `gpus` GPUs at the given per-device idle
-  /// draws. Per-domain arrays are inline, so counts outside
-  /// [0, kMaxSockets] / [0, kMaxGpuSensors] throw std::invalid_argument
-  /// naming `config`.
-  static LoadDemand make_idle_floor(const char* config, int sockets,
-                                    double cpu_idle_w, int gpus,
-                                    double gpu_idle_w, double mem_idle_w);
+  /// A cap request against [min_w, max_w]: Ok when it lies inside, else
+  /// Clamped to the bound it crossed.
+  static CapResult clamp_cap(double watts, double min_w, double max_w);
 
-  /// Vendor rule: demand + caps -> granted watts per domain.
-  virtual Grants compute_grants(const LoadDemand& demand) const = 0;
+  /// Demand + caps -> granted watts per domain: each CPU/GPU domain gets
+  /// its demand limited by its cap (its maximum when uncapped) but never
+  /// less than idle; memory is limited by its maximum; base power is
+  /// constant.
+  virtual Grants compute_grants(const LoadDemand& demand) const;
 
   /// Vendor sensor sweep (see sample() for the public contract).
   virtual PowerSample read_sensors() = 0;
 
-  /// Vendor cap implementations. Defaults report Unsupported.
+  /// Node-dial writes; the defaults report Unsupported.
   virtual CapResult do_set_node_power_cap(double watts);
   virtual CapResult do_clear_node_power_cap();
+  /// GPU cap write; the default is the shared rule (write_domain_cap).
   virtual CapResult do_set_gpu_power_cap(int gpu, double watts);
-  virtual CapResult do_set_socket_power_cap(int socket, double watts);
 
   /// Re-floor the request against the active idle floor, recompute grants
   /// when the floored demand or (per `caps_changed`) a cap register moved,
   /// and advance the energy meter — the meter advances on every call, since
-  /// splitting its integral changes float rounding. Subclasses call this
-  /// after every cap write, passing whether any register (cap, wedge bit)
-  /// actually changed.
+  /// splitting its integral changes float rounding. Every cap write ends
+  /// here, passing whether any register (cap, wedge bit) actually changed.
   void refresh(bool caps_changed);
 
   /// Write a cap register and refresh (recomputing grants only if the
@@ -214,6 +247,19 @@ class Node {
   bool low_power_ = false;
   NodeFaultTap* fault_tap_ = nullptr;
   std::uint64_t cap_write_faults_ = 0;
+
+ private:
+  /// True (and counted) when the fault tap fails this cap write.
+  bool cap_write_faulted(DomainType domain);
+
+  /// The shared socket/GPU cap write, checked in this order: no cap
+  /// interface -> Unsupported, bad index -> OutOfRange, fused off ->
+  /// PermissionDenied, else clamped into [min_cap_w, max_w] and stored.
+  CapResult write_domain_cap(const DomainRange& range,
+                             std::vector<std::optional<double>>& regs,
+                             int index, double watts);
+
+  Envelope envelope_;
 };
 
 }  // namespace fluxpower::hwsim

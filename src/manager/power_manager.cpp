@@ -54,6 +54,7 @@ PowerManagerModule::~PowerManagerModule() = default;
 
 void PowerManagerModule::load(flux::Broker& broker) {
   broker_ = &broker;
+  load_token_ = std::make_shared<const int>(0);
 
   // Bind instruments in the broker registry; counters reset so a reloaded
   // module starts a fresh ledger like the plain members it replaced.
@@ -312,6 +313,7 @@ void PowerManagerModule::load(flux::Broker& broker) {
 }
 
 void PowerManagerModule::unload() {
+  load_token_.reset();
   if (cap_retry_event_ != sim::kInvalidEvent && broker_ != nullptr) {
     broker_->sim().cancel(cap_retry_event_);
     cap_retry_event_ = sim::kInvalidEvent;
@@ -485,13 +487,13 @@ void PowerManagerModule::push_node_limit(flux::Rank rank, double limit_w) {
   // enforcing the limit we accounted for.
   broker_->rpc(
       rank, kSetNodeLimitTopic, std::move(payload),
-      [this, rank](const Message& resp) {
+      while_loaded([this, rank](const Message& resp) {
         const bool applied =
             !resp.is_error() && resp.payload.bool_or("applied", true);
         const bool retrying =
             !resp.is_error() && resp.payload.bool_or("retrying", false);
         record_push_result(rank, applied, retrying);
-      },
+      }),
       config_.push_timeout_s);
 }
 
@@ -553,8 +555,7 @@ void PowerManagerModule::record_push_result(flux::Rank rank, bool applied,
 
 void PowerManagerModule::schedule_push_retry(flux::Rank rank) {
   if (!push_retry_pending_.insert(rank).second) return;  // one in flight
-  broker_->sim().schedule_after(config_.push_timeout_s, [this, rank] {
-    if (broker_ == nullptr) return;
+  auto retry = while_loaded([this, rank] {
     push_retry_pending_.erase(rank);
     if (quarantined_.contains(rank)) return;  // probe loop owns it now
     for (const auto& [id, alloc] : allocations_) {
@@ -566,6 +567,7 @@ void PowerManagerModule::schedule_push_retry(flux::Rank rank) {
       }
     }
   });
+  broker_->sim().schedule_after(config_.push_timeout_s, std::move(retry));
 }
 
 void PowerManagerModule::request_forced_reallocate() {
@@ -575,7 +577,6 @@ void PowerManagerModule::request_forced_reallocate() {
   if (forced_reallocate_event_ != sim::kInvalidEvent) return;
   forced_reallocate_event_ = broker_->sim().schedule_after(0.1, [this] {
     forced_reallocate_event_ = sim::kInvalidEvent;
-    if (broker_ == nullptr) return;
     for (auto& [id, alloc] : allocations_) alloc.node_power_w = -1.0;
     reallocate();
   });
@@ -583,8 +584,8 @@ void PowerManagerModule::request_forced_reallocate() {
 
 void PowerManagerModule::schedule_quarantine_probe(flux::Rank rank) {
   if (config_.quarantine_probe_s <= 0.0) return;
-  broker_->sim().schedule_after(config_.quarantine_probe_s, [this, rank] {
-    if (broker_ == nullptr || !quarantined_.contains(rank)) return;
+  auto probe = while_loaded([this, rank] {
+    if (!quarantined_.contains(rank)) return;
     double share = 0.0;
     for (const auto& [id, alloc] : allocations_) {
       for (flux::Rank r : alloc.ranks) {
@@ -594,6 +595,7 @@ void PowerManagerModule::schedule_quarantine_probe(flux::Rank rank) {
     push_node_limit(rank, share);
     schedule_quarantine_probe(rank);
   });
+  broker_->sim().schedule_after(config_.quarantine_probe_s, std::move(probe));
 }
 
 void PowerManagerModule::handle_set_node_limit(const Message& req) {
@@ -749,7 +751,7 @@ void PowerManagerModule::emergency_check() {
   for (flux::Rank r = 0; r < broker_->instance().size(); ++r) {
     broker_->rpc(
         r, kNodeStatusTopic, Json::object(),
-        [this, pending](const Message& resp) {
+        while_loaded([this, pending](const Message& resp) {
           if (!resp.is_error()) {
             pending->total_w += resp.payload.number_or("node_draw_w", 0.0);
           }
@@ -767,7 +769,7 @@ void PowerManagerModule::emergency_check() {
               release_emergency();
             }
           }
-        },
+        }),
         /*timeout_s=*/5.0);
   }
 }

@@ -140,6 +140,19 @@ class PowerManagerModule final : public flux::Module {
   /// the damping window causes one reallocate, not one per push ack.
   void request_forced_reallocate();
 
+  /// Wrap a deferred callback (sim event, RPC handler or its timeout) that
+  /// unload() cannot cancel: it runs only while this load is live. The
+  /// broker destroys an unloaded module at once, so a callback that fires
+  /// later must not touch the module; it holds a weak reference to
+  /// load_token_, which unload() drops.
+  template <class Fn>
+  auto while_loaded(Fn fn) {
+    return [token = std::weak_ptr<const int>(load_token_),
+            fn = std::move(fn)](const auto&... args) {
+      if (!token.expired()) fn(args...);
+    };
+  }
+
   // Node-level-manager (all ranks).
   void handle_set_node_limit(const flux::Message& req);
   /// Apply the active limit through the node-policy plugin; false when any
@@ -172,6 +185,8 @@ class PowerManagerModule final : public flux::Module {
 
   PowerManagerConfig config_;
   flux::Broker* broker_ = nullptr;
+  /// Alive from load() to unload(); see while_loaded.
+  std::shared_ptr<const int> load_token_;
   std::unique_ptr<policy::NodePolicyPlugin> plugin_;
 
   // Node-level state.

@@ -139,6 +139,18 @@ class ByteReader {
     return std::string(reinterpret_cast<const char*>(b.data()), b.size());
   }
   std::span<const std::uint8_t> raw(std::size_t n) { return take(n); }
+  /// Element count of a sequence whose elements take at least
+  /// `min_element_bytes` each on the wire. A count the rest of the input
+  /// cannot hold is rejected before the caller reserves room for it.
+  std::uint32_t count(std::size_t min_element_bytes) {
+    const std::uint32_t n = u32();
+    if (n > remaining() / min_element_bytes) {
+      throw CodecError("ByteReader: count " + std::to_string(n) +
+                       " cannot fit in the " + std::to_string(remaining()) +
+                       " bytes left");
+    }
+    return n;
+  }
 
   std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
   bool done() const noexcept { return pos_ == bytes_.size(); }

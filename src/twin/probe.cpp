@@ -351,7 +351,8 @@ void StateImage::encode(ByteWriter& w) const {
 
 StateImage StateImage::decode(ByteReader& r) {
   StateImage image;
-  const std::uint32_t n = r.u32();
+  // Per section at least: tag u32, version u32, length u64, digest u64.
+  const std::uint32_t n = r.count(24);
   image.sections.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     StateSection s;

@@ -260,7 +260,9 @@ TwinSpec TwinSpec::decode(ByteReader& r) {
   }
   if (version >= 3) s.sched_policy = r.str();
 
-  const std::uint32_t njobs = r.u32();
+  // Per job: kind u32, nnodes u32, work_scale f64, submit_time_s f64 and,
+  // from v3, eco_tolerance f64.
+  const std::uint32_t njobs = r.count(version >= 3 ? 32 : 24);
   spec.jobs.reserve(njobs);
   for (std::uint32_t i = 0; i < njobs; ++i) {
     experiments::JobRequest j;

@@ -307,6 +307,28 @@ TEST_F(ManagerTest, ClusterDrawNeverExceedsBoundUnderProportionalSharing) {
   EXPECT_LE(cluster_.total_draw_w(), 9600.0 + 50.0);
 }
 
+TEST_F(ManagerTest, CallbacksQueuedBeforeUnloadDoNotTouchTheModule) {
+  // Push retries, quarantine probes and RPC handlers (and their timeouts)
+  // are still queued when the broker destroys an unloaded module; firing
+  // them must not touch it. Rank 3's manager goes first, so the root's
+  // refresh pushes to it fail and arm strike re-pushes; the root's own
+  // manager is unloaded with those still in flight.
+  PowerManagerConfig cfg;
+  cfg.cluster_power_bound_w = 4800.0;
+  cfg.push_timeout_s = 1.0;
+  cfg.limit_refresh_s = 3.0;
+  build(4, cfg);
+  submit("gemm", 4, 4.0);
+  sim_.run_until(10.0);
+  instance_->broker(3).unload_module("power-manager");
+  sim_.run_until(12.2);
+  instance_->broker(0).unload_module("power-manager");
+  sim_.run_until(60.0);
+  EXPECT_EQ(module(0), nullptr);
+  EXPECT_EQ(module(3), nullptr);
+  EXPECT_NE(module(1), nullptr);
+}
+
 TEST_F(ManagerTest, UnloadRemovesServicesAndTasks) {
   PowerManagerConfig cfg;
   cfg.cluster_power_bound_w = 9600.0;

@@ -140,6 +140,41 @@ TEST(TwinSpecCodec, RejectsUnknownVersionAndEnums) {
   EXPECT_THROW(TwinSpec::decode(r), CodecError);
 }
 
+TEST(TwinSpecCodec, RejectsJobCountLargerThanInput) {
+  // With no jobs the wire ends in the job count (u32) and max_time_s (f64).
+  // A corrupted count must fail as CodecError before any reserve, not as
+  // a ~170 GB allocation.
+  TwinSpec spec = small_spec(false);
+  spec.jobs.clear();
+  ByteWriter w;
+  spec.encode(w);
+  std::vector<std::uint8_t> bytes = w.data();
+  for (std::size_t i = bytes.size() - 12; i < bytes.size() - 8; ++i) {
+    bytes[i] = 0xFF;
+  }
+  ByteReader r(bytes);
+  EXPECT_THROW(TwinSpec::decode(r), CodecError);
+}
+
+TEST(StateImageCodec, RejectsSectionCountLargerThanInput) {
+  StateImage image;
+  StateSection s;
+  s.tag = fourcc('T', 'E', 'S', 'T');
+  s.bytes = {1, 2, 3};
+  s.digest = Digest64::of(s.bytes);
+  image.sections.push_back(s);
+  ByteWriter w;
+  image.encode(w);
+  {
+    ByteReader r(w.data());
+    EXPECT_EQ(StateImage::decode(r).sections.size(), 1u);
+  }
+  std::vector<std::uint8_t> bytes = w.data();
+  for (std::size_t i = 0; i < 4; ++i) bytes[i] = 0xFF;  // section count
+  ByteReader r(bytes);
+  EXPECT_THROW(StateImage::decode(r), CodecError);
+}
+
 TEST(SnapshotCodec, RejectsBadMagicVersionTrailingAndCorruption) {
   TwinSession session(small_spec(false));
   session.advance_to(30.0);
