@@ -1,5 +1,6 @@
 #include "apps/trace_replay.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -43,17 +44,22 @@ Columns resolve_columns(const std::vector<std::string>& header) {
   return cols;
 }
 
+/// The cell at `idx` as a finite number; an absent or empty cell is 0. The
+/// whole token must parse ("12abc" is rejected, not read as 12), and
+/// "nan", "inf" and out-of-range values like "1e400" are rejected too.
 double cell_number(const std::vector<std::string>& row, int idx) {
   if (idx < 0 || static_cast<std::size_t>(idx) >= row.size() ||
       row[static_cast<std::size_t>(idx)].empty()) {
     return 0.0;
   }
-  try {
-    return std::stod(row[static_cast<std::size_t>(idx)]);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("trace: non-numeric cell '" +
-                                row[static_cast<std::size_t>(idx)] + "'");
+  const std::string& cell = row[static_cast<std::size_t>(idx)];
+  double v = 0.0;
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v)) {
+    throw std::invalid_argument("trace: non-numeric cell '" + cell + "'");
   }
+  return v;
 }
 
 }  // namespace

@@ -67,6 +67,7 @@ double IbmAc922Node::derived_gpu_cap(double node_cap_w) const {
 CapResult IbmAc922Node::do_set_node_power_cap(double watts) {
   const CapResult result = clamp_cap(watts, config_.node_soft_min_cap_w,
                                      config_.node_max_cap_w);
+  if (!result.applied_watts) return result;
   const double applied = *result.applied_watts;
   if (config_.node_cap_latency_s > 0.0) {
     // OPAL settles the cap asynchronously: the write is acknowledged now,
@@ -94,6 +95,9 @@ CapResult IbmAc922Node::do_set_gpu_power_cap(int gpu, double watts) {
     return {CapStatus::OutOfRange, std::nullopt};
   }
   const auto idx = static_cast<std::size_t>(gpu);
+  const CapResult result =
+      clamp_cap(watts, config_.gpu_min_cap_w, config_.gpu_max_w);
+  if (!result.applied_watts) return result;
 
   // §V failure injection: at low node caps the NVML write intermittently
   // has no effect — it either keeps the last set cap or resets to maximum.
@@ -113,8 +117,6 @@ CapResult IbmAc922Node::do_set_gpu_power_cap(int gpu, double watts) {
     return {CapStatus::Ok, gpu_caps_[idx]};
   }
 
-  const CapResult result =
-      clamp_cap(watts, config_.gpu_min_cap_w, config_.gpu_max_w);
   const double applied = *result.applied_watts;
   if (config_.gpu_cap_latency_s > 0.0) {
     const std::uint64_t epoch = ++gpu_cap_epochs_[idx];

@@ -1,6 +1,7 @@
 #include "hwsim/node.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -171,6 +172,7 @@ CapResult Node::set_socket_power_cap(int socket, double watts) {
 }
 
 CapResult Node::clamp_cap(double watts, double min_w, double max_w) {
+  if (!std::isfinite(watts)) return {CapStatus::OutOfRange, {}};
   if (watts < min_w) return {CapStatus::Clamped, min_w};
   if (watts > max_w) return {CapStatus::Clamped, max_w};
   return {CapStatus::Ok, watts};
@@ -185,6 +187,7 @@ CapResult Node::write_domain_cap(const DomainRange& range,
   }
   if (envelope_.caps_fused_off) return {CapStatus::PermissionDenied, {}};
   const CapResult result = clamp_cap(watts, range.min_cap_w, range.max_w);
+  if (!result.applied_watts) return result;
   store_cap(regs[static_cast<std::size_t>(index)], *result.applied_watts);
   return result;
 }

@@ -194,7 +194,9 @@ class Node {
 
  protected:
   /// A cap request against [min_w, max_w]: Ok when it lies inside, else
-  /// Clamped to the bound it crossed.
+  /// Clamped to the bound it crossed. A non-finite request (±NaN, ±inf) is
+  /// OutOfRange with no applied value; callers return it before touching
+  /// any register.
   static CapResult clamp_cap(double watts, double min_w, double max_w);
 
   /// Demand + caps -> granted watts per domain: each CPU/GPU domain gets

@@ -5,6 +5,37 @@
 
 namespace fluxpower::monitor {
 
+namespace {
+
+/// Write a sample's per-domain watts into slot p, materializing (zero-filled
+/// to the physical length `len`) any column this sample is the first to need.
+template <std::size_t N, typename Watts>
+void assign_domains(std::vector<double> (&cols)[N], const Watts& w,
+                    std::size_t p, std::size_t len) {
+  for (std::size_t c = 0; c < w.size(); ++c) {
+    if (cols[c].empty()) cols[c].resize(len, 0.0);
+    cols[c][p] = w[c];
+  }
+}
+
+template <std::size_t N>
+void append_domains(std::vector<double> (&cols)[N]) {
+  for (auto& col : cols) {
+    if (!col.empty()) col.push_back(0.0);
+  }
+}
+
+/// Every materialized column spans the physical ring; unused ones are empty.
+template <std::size_t N>
+bool domains_sized(const std::vector<double> (&cols)[N], std::size_t len) {
+  for (const auto& col : cols) {
+    if (!col.empty() && col.size() != len) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 ColumnarSampleStore::ColumnarSampleStore(std::size_t capacity)
     : capacity_(capacity) {
   if (capacity == 0) {
@@ -30,12 +61,8 @@ void ColumnarSampleStore::assign_slot(std::size_t p,
   node_w_[p] = s.node_w.watts;
   node_estimate_w_[p] = s.node_estimate_w.watts;
   mem_w_[p] = s.mem_w.watts;
-  for (std::size_t c = 0; c < hwsim::kMaxSockets; ++c) {
-    cpu_w_[c][p] = c < s.cpu_w.size() ? s.cpu_w[c] : 0.0;
-  }
-  for (std::size_t g = 0; g < hwsim::kMaxGpuSensors; ++g) {
-    gpu_w_[g][p] = g < s.gpu_w.size() ? s.gpu_w[g] : 0.0;
-  }
+  assign_domains(cpu_w_, s.cpu_w, p, phys_len());
+  assign_domains(gpu_w_, s.gpu_w, p, phys_len());
   cpu_count_[p] = static_cast<std::uint8_t>(s.cpu_w.size());
   gpu_count_[p] = static_cast<std::uint8_t>(s.gpu_w.size());
   host_idx_[p] = intern_hostname(s.hostname);
@@ -53,8 +80,8 @@ void ColumnarSampleStore::append_slot(const hwsim::PowerSample& s) {
   node_w_.push_back(0.0);
   node_estimate_w_.push_back(0.0);
   mem_w_.push_back(0.0);
-  for (auto& col : cpu_w_) col.push_back(0.0);
-  for (auto& col : gpu_w_) col.push_back(0.0);
+  append_domains(cpu_w_);
+  append_domains(gpu_w_);
   cpu_count_.push_back(0);
   gpu_count_.push_back(0);
   host_idx_.push_back(0);
@@ -229,12 +256,7 @@ bool ColumnarSampleStore::check_integrity() const noexcept {
       host_idx_.size() != n) {
     return false;
   }
-  for (const auto& col : cpu_w_) {
-    if (col.size() != n) return false;
-  }
-  for (const auto& col : gpu_w_) {
-    if (col.size() != n) return false;
-  }
+  if (!domains_sized(cpu_w_, n) || !domains_sized(gpu_w_, n)) return false;
   const std::size_t words = (n + 63) / 64;
   if (node_present_.words.size() != words ||
       estimate_present_.words.size() != words ||
@@ -249,6 +271,13 @@ bool ColumnarSampleStore::check_integrity() const noexcept {
     if (cpu_count_[p] > hwsim::kMaxSockets) return false;
     if (gpu_count_[p] > hwsim::kMaxGpuSensors) return false;
     if (host_idx_[p] >= host_table_.size()) return false;
+    // A retained slot's domains must live in materialized columns.
+    for (std::size_t c = 0; c < cpu_count_[p]; ++c) {
+      if (cpu_w_[c].empty()) return false;
+    }
+    for (std::size_t g = 0; g < gpu_count_[p]; ++g) {
+      if (gpu_w_[g].empty()) return false;
+    }
     // The derived best_w column must agree with the validity bitmaps: the
     // direct sensor when present, else the estimate, else zero.
     const double expect = node_present_.get(p)

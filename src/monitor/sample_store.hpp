@@ -19,6 +19,13 @@
 // sensor counts in byte columns; hostnames in a tiny interned table (a
 // node-agent's hostname never changes, so the table holds one entry).
 //
+// The per-socket and per-GPU columns are sized lazily: column c stays
+// empty until a sample with more than c domains of that kind lands, and is
+// then zero-filled to the physical ring length and kept in lockstep from
+// there on. A two-socket, four-GPU node therefore never pays for the
+// other six columns. get() reads only the first count columns of a slot,
+// and every one of those was materialized when the slot was written.
+//
 // The same class backs the TBON delta-aggregation replicas: a broker
 // mirrors each descendant's buffer by appending delta batches and pruning
 // the front to the child's reported oldest-retained timestamp
@@ -106,8 +113,9 @@ class ColumnarSampleStore {
 
   /// Internal consistency check for the regression suite: every column and
   /// bitmap must describe exactly the retained slots (sizes in lockstep,
-  /// counts within sensor ceilings, hostname indices valid). Returns false
-  /// on any desynchronization.
+  /// each domain column empty or full length and materialized wherever a
+  /// retained slot's count needs it, counts within sensor ceilings,
+  /// hostname indices valid). Returns false on any desynchronization.
   bool check_integrity() const noexcept;
 
  private:
@@ -145,7 +153,9 @@ class ColumnarSampleStore {
   std::uint64_t total_pushed_ = 0;
 
   // Scalar columns, indexed by physical slot. Grown on first use up to
-  // capacity_ so an idle replica costs nothing.
+  // capacity_ so an idle replica costs nothing. Each cpu_w_/gpu_w_ column
+  // is either empty (no sample has needed it yet) or exactly phys_len()
+  // long.
   std::vector<double> timestamp_;
   std::vector<double> best_w_;  ///< best_node_w(), precomputed at push
   std::vector<double> node_w_;

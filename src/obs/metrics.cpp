@@ -3,7 +3,12 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
+#include <new>
+#include <set>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace fluxpower::obs {
 
@@ -31,7 +36,47 @@ const char* kind_name(int kind) {
   }
 }
 
+/// Process-wide intern table for instrument names and help texts. Every
+/// broker registers the same few dozen strings, so each is stored once here
+/// and registries keep pointers to it. The table is immortal (never
+/// destroyed), so those pointers outlive every registry, static ones
+/// included; it is mutex-guarded because sharded-engine and twin-server
+/// workers build registries concurrently. Only registration touches it.
+class InternTable {
+ public:
+  std::pair<const std::string*, const std::string*> intern(
+      std::string_view name, std::string_view help) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return {intern_locked(name), intern_locked(help)};
+  }
+
+ private:
+  const std::string* intern_locked(std::string_view s) {
+    auto it = strings_.find(s);
+    if (it == strings_.end()) it = strings_.emplace(s).first;
+    return &*it;
+  }
+
+  std::mutex mu_;
+  std::set<std::string, std::less<>> strings_;
+};
+
+InternTable& intern_table() {
+  static InternTable* const table = new InternTable;
+  return *table;
+}
+
+std::logic_error kind_mismatch(std::string_view name) {
+  return std::logic_error("MetricsRegistry: metric '" + std::string(name) +
+                          "' re-registered with a different kind");
+}
+
 }  // namespace
+
+static_assert(sizeof(Counter) <= 8 && alignof(Counter) <= 8);
+static_assert(sizeof(Gauge) <= 8 && alignof(Gauge) <= 8);
+static_assert(std::is_trivially_destructible_v<Counter> &&
+              std::is_trivially_destructible_v<Gauge>);
 
 Histogram::Histogram(std::span<const double> bounds) {
   if (bounds.size() > kMaxBuckets) {
@@ -52,61 +97,73 @@ void Histogram::reset() noexcept {
   sum_ = 0.0;
 }
 
-MetricsRegistry::Metric& MetricsRegistry::get_or_create(std::string_view name,
-                                                        std::string_view help,
-                                                        Kind kind) {
-  if (auto it = index_.find(name); it != index_.end()) {
-    Metric& m = *metrics_[it->second];
-    if (m.kind != kind) {
-      throw std::logic_error("MetricsRegistry: metric '" + std::string(name) +
-                             "' re-registered with a different kind");
-    }
-    return m;
+MetricsRegistry::~MetricsRegistry() {
+  for (const Entry& e : entries_) {
+    if (e.kind == Kind::Histogram) delete &e.histogram();
   }
-  auto metric = std::make_unique<Metric>();
-  metric->name = std::string(name);
-  metric->help = std::string(help);
-  metric->kind = kind;
-  Metric& ref = *metric;
-  index_.emplace(ref.name, metrics_.size());
-  metrics_.push_back(std::move(metric));
-  return ref;
+}
+
+const MetricsRegistry::Entry* MetricsRegistry::find(
+    std::string_view name) const noexcept {
+  for (const Entry& e : entries_) {
+    if (*e.name == name) return &e;
+  }
+  return nullptr;
+}
+
+const MetricsRegistry::Entry* MetricsRegistry::find_kind(
+    std::string_view name, Kind kind) const {
+  const Entry* e = find(name);
+  if (e != nullptr && e->kind != kind) throw kind_mismatch(name);
+  return e;
+}
+
+void MetricsRegistry::add(std::string_view name, std::string_view help,
+                          Kind kind, void* cell) {
+  const auto [n, h] = intern_table().intern(name, help);
+  entries_.push_back({n, h, kind, cell});
+}
+
+MetricsRegistry::Cell* MetricsRegistry::new_cell() {
+  if (front_used_ == kCellsPerChunk) {
+    cells_.emplace_front();
+    front_used_ = 0;
+  }
+  return &cells_.front()[front_used_++];
 }
 
 Counter& MetricsRegistry::counter(std::string_view name,
                                   std::string_view help) {
-  return get_or_create(name, help, Kind::Counter).counter;
+  if (const Entry* e = find_kind(name, Kind::Counter)) return e->counter();
+  Counter* c = new (new_cell()) Counter;
+  add(name, help, Kind::Counter, c);
+  return *c;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
-  return get_or_create(name, help, Kind::Gauge).gauge;
+  if (const Entry* e = find_kind(name, Kind::Gauge)) return e->gauge();
+  Gauge* g = new (new_cell()) Gauge;
+  add(name, help, Kind::Gauge, g);
+  return *g;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::string_view help,
                                       std::span<const double> bounds) {
-  if (auto it = index_.find(name); it != index_.end()) {
-    Metric& m = *metrics_[it->second];
-    if (m.kind != Kind::Histogram) {
-      throw std::logic_error("MetricsRegistry: metric '" + std::string(name) +
-                             "' re-registered with a different kind");
-    }
-    return m.histogram;
-  }
-  Metric& m = get_or_create(name, help, Kind::Histogram);
-  m.histogram = Histogram(bounds);
-  return m.histogram;
+  if (const Entry* e = find_kind(name, Kind::Histogram)) return e->histogram();
+  auto h = std::make_unique<Histogram>(bounds);
+  add(name, help, Kind::Histogram, h.get());
+  return *h.release();
 }
 
 std::optional<double> MetricsRegistry::value(std::string_view name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) return std::nullopt;
-  const Metric& m = *metrics_[it->second];
-  switch (m.kind) {
+  const Entry* e = find(name);
+  if (e == nullptr) return std::nullopt;
+  switch (e->kind) {
     case Kind::Counter:
-      return static_cast<double>(m.counter.value());
+      return static_cast<double>(e->counter().value());
     case Kind::Gauge:
-      return m.gauge.value();
+      return e->gauge().value();
     case Kind::Histogram:
       return std::nullopt;
   }
@@ -115,46 +172,46 @@ std::optional<double> MetricsRegistry::value(std::string_view name) const {
 
 std::string MetricsRegistry::expose_text(const std::string& labels) const {
   std::string out;
-  out.reserve(metrics_.size() * 96);
+  out.reserve(entries_.size() * 96);
   const std::string plain = labels.empty() ? "" : "{" + labels + "}";
-  for (const auto& mp : metrics_) {
-    const Metric& m = *mp;
+  for (const Entry& e : entries_) {
+    const std::string& name = *e.name;
     out += "# HELP ";
-    out += m.name;
+    out += name;
     out += ' ';
-    out += m.help;
+    out += *e.help;
     out += "\n# TYPE ";
-    out += m.name;
+    out += name;
     out += ' ';
-    out += kind_name(static_cast<int>(m.kind));
+    out += kind_name(static_cast<int>(e.kind));
     out += '\n';
-    switch (m.kind) {
+    switch (e.kind) {
       case Kind::Counter: {
-        out += m.name;
+        out += name;
         out += plain;
         out += ' ';
         char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, m.counter.value());
+        std::snprintf(buf, sizeof(buf), "%" PRIu64, e.counter().value());
         out += buf;
         out += '\n';
         break;
       }
       case Kind::Gauge: {
-        out += m.name;
+        out += name;
         out += plain;
         out += ' ';
-        append_number(out, m.gauge.value());
+        append_number(out, e.gauge().value());
         out += '\n';
         break;
       }
       case Kind::Histogram: {
-        const Histogram& h = m.histogram;
+        const Histogram& h = e.histogram();
         // Cumulative _bucket series, then _sum and _count, per the
         // Prometheus text format.
         std::uint64_t cum = 0;
         for (std::size_t i = 0; i <= h.bucket_count(); ++i) {
           cum += h.count_in(i);
-          out += m.name;
+          out += name;
           out += "_bucket{";
           if (!labels.empty()) {
             out += labels;
@@ -172,13 +229,13 @@ std::string MetricsRegistry::expose_text(const std::string& labels) const {
           out += buf;
           out += '\n';
         }
-        out += m.name;
+        out += name;
         out += "_sum";
         out += plain;
         out += ' ';
         append_number(out, h.sum());
         out += '\n';
-        out += m.name;
+        out += name;
         out += "_count";
         out += plain;
         out += ' ';
@@ -195,21 +252,21 @@ std::string MetricsRegistry::expose_text(const std::string& labels) const {
 
 util::Json MetricsRegistry::to_json() const {
   util::Json arr = util::Json::array();
-  for (const auto& mp : metrics_) {
-    const Metric& m = *mp;
+  for (const Entry& e : entries_) {
+    const std::string& name = *e.name;
     util::Json obj = util::Json::object();
-    obj["name"] = m.name;
-    obj["type"] = kind_name(static_cast<int>(m.kind));
-    obj["help"] = m.help;
-    switch (m.kind) {
+    obj["name"] = name;
+    obj["type"] = kind_name(static_cast<int>(e.kind));
+    obj["help"] = *e.help;
+    switch (e.kind) {
       case Kind::Counter:
-        obj["value"] = m.counter.value();
+        obj["value"] = e.counter().value();
         break;
       case Kind::Gauge:
-        obj["value"] = m.gauge.value();
+        obj["value"] = e.gauge().value();
         break;
       case Kind::Histogram: {
-        const Histogram& h = m.histogram;
+        const Histogram& h = e.histogram();
         util::Json bounds = util::Json::array();
         util::Json counts = util::Json::array();
         for (std::size_t i = 0; i < h.bucket_count(); ++i) {

@@ -24,9 +24,10 @@
 // fluxpower_monitor_samples_total, fluxpower_broker_rpc_latency_seconds.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <forward_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -103,18 +104,27 @@ class Histogram {
 /// A registry of named metrics. One per broker (per-node scope) plus one
 /// process-wide instance (engine/bench scope). Registration is get-or-create
 /// by name; registering an existing name with a different kind throws.
+///
+/// Storage is sized for tens of thousands of brokers per process: names and
+/// help texts are interned once in a process-wide table, so a registry holds
+/// only a flat vector of entries in registration order plus the values —
+/// counters and gauges in 8-byte cells of a chunked arena (addresses stay
+/// stable as it grows), a Histogram allocated only for histogram
+/// instruments. Name lookup is a scan of the registry's own few dozen
+/// entries and happens at registration time only.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+  ~MetricsRegistry();
 
   Counter& counter(std::string_view name, std::string_view help);
   Gauge& gauge(std::string_view name, std::string_view help);
   Histogram& histogram(std::string_view name, std::string_view help,
                        std::span<const double> bounds);
 
-  std::size_t size() const noexcept { return metrics_.size(); }
+  std::size_t size() const noexcept { return entries_.size(); }
 
   /// Scalar value of a counter or gauge (nullopt if absent or a histogram).
   std::optional<double> value(std::string_view name) const;
@@ -137,23 +147,42 @@ class MetricsRegistry {
   void merge_json(const util::Json& metrics_array);
 
  private:
-  enum class Kind { Counter, Gauge, Histogram };
-  struct Metric {
-    std::string name;
-    std::string help;
-    Kind kind = Kind::Counter;
-    Counter counter;
-    Gauge gauge;
-    Histogram histogram;
+  enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
+
+  /// One instrument. `name`/`help` point into the immortal process-wide
+  /// intern table; `cell` is a Counter*/Gauge* into the cell arena, or an
+  /// owned Histogram*.
+  struct Entry {
+    const std::string* name;
+    const std::string* help;
+    Kind kind;
+    void* cell;
+
+    Counter& counter() const noexcept { return *static_cast<Counter*>(cell); }
+    Gauge& gauge() const noexcept { return *static_cast<Gauge*>(cell); }
+    Histogram& histogram() const noexcept {
+      return *static_cast<Histogram*>(cell);
+    }
   };
 
-  Metric& get_or_create(std::string_view name, std::string_view help,
-                        Kind kind);
+  /// Storage for one Counter or Gauge (both a single 8-byte member).
+  struct alignas(8) Cell {
+    unsigned char bytes[8];
+  };
+  static constexpr std::size_t kCellsPerChunk = 16;
 
-  /// unique_ptr elements so Counter*/Gauge* handles stay valid as the
-  /// vector grows; vector order is registration (exposition) order.
-  std::vector<std::unique_ptr<Metric>> metrics_;
-  std::map<std::string, std::size_t, std::less<>> index_;
+  const Entry* find(std::string_view name) const noexcept;
+  /// The existing entry for `name` (kind-checked), or nullptr.
+  const Entry* find_kind(std::string_view name, Kind kind) const;
+  void add(std::string_view name, std::string_view help, Kind kind,
+           void* cell);
+  Cell* new_cell();
+
+  std::vector<Entry> entries_;  ///< registration (exposition) order
+  /// Cell arena: list nodes never move, so handles stay valid. The newest
+  /// chunk is at the front, `front_used_` cells of it taken.
+  std::forward_list<std::array<Cell, kCellsPerChunk>> cells_;
+  std::size_t front_used_ = kCellsPerChunk;
 };
 
 /// The process-wide registry: scope for anything that is not per-broker —

@@ -66,6 +66,33 @@ TEST(PowerTrace, Validation) {
                std::invalid_argument);
 }
 
+// Every numeric cell must be one whole, finite token: non-finite spellings,
+// trailing garbage and overflow are errors that name the offending cell.
+TEST(PowerTrace, RejectsNonFiniteAndPartialCells) {
+  for (const std::string bad : {"nan", "-nan", "inf", "-inf", "12abc",
+                                "1e400", "1.5.2"}) {
+    for (const std::string& csv :
+         {"timestamp_s,cpu0_w\n" + bad + ",100\n",
+          "timestamp_s,cpu0_w,mem_w,gpu0_w\n0,100,20,30\n1,100,20," + bad +
+              "\n"}) {
+      try {
+        PowerTrace::from_csv(csv);
+        ADD_FAILURE() << "accepted cell '" << bad << "'";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // Ordinary spellings still parse, exponents and signs included.
+  const PowerTrace ok =
+      PowerTrace::from_csv("timestamp_s,cpu0_w\n0,1.5e2\n2,-0.0\n");
+  ASSERT_EQ(ok.points.size(), 2u);
+  EXPECT_DOUBLE_EQ(ok.points[0].demand.cpu_w[0], 150.0);
+  EXPECT_DOUBLE_EQ(ok.points[1].t_s, 2.0);
+}
+
 TEST(TraceReplay, RecordedRunReplaysWithSamePowerShape) {
   // 1. Record: run Quicksilver and export its telemetry CSV.
   auto recorded = experiments::run_single_job(

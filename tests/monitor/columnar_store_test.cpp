@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "hwsim/types.hpp"
@@ -185,6 +186,153 @@ TEST(ColumnarStore, PruneFrontMirrorsEviction) {
   store.push(gen.sample());
   EXPECT_EQ(store.size(), 1u);
   EXPECT_TRUE(store.check_integrity());
+}
+
+// Domain-shaped samples for the lazily sized per-socket / per-GPU columns.
+PowerSample ac922_sample(double t, double w) {
+  PowerSample s;
+  s.timestamp_s = t;
+  s.hostname = "lassen7";
+  s.node_w = 1000.0 + w;
+  for (int c = 0; c < 2; ++c) s.cpu_w.push_back(150.0 + w + c);
+  s.mem_w = 60.0 + w;
+  for (int g = 0; g < 4; ++g) s.gpu_w.push_back(200.0 + w + g);
+  return s;
+}
+
+/// A faulted sweep: the GPU domains are cleared and the node sensor is gone.
+PowerSample faulted_sample(double t, double w) {
+  PowerSample s = ac922_sample(t, w);
+  s.node_w.reset();
+  s.node_estimate_w = 900.0 + w;
+  s.gpu_w.clear();
+  s.sensor_fault = true;
+  return s;
+}
+
+/// An EX235a sweep: one socket, four OAM packages, no node sensor.
+PowerSample ex235a_sample(double t, double w) {
+  PowerSample s;
+  s.timestamp_s = t;
+  s.hostname = "tioga42";
+  s.node_estimate_w = 2000.0 + w;
+  s.cpu_w.push_back(180.0 + w);
+  for (int g = 0; g < 4; ++g) s.gpu_w.push_back(400.0 + w + g);
+  s.gpu_is_oam = true;
+  return s;
+}
+
+/// A sweep with every domain slot in use, materializing every column.
+PowerSample full_sample(double t, double w) {
+  PowerSample s = ac922_sample(t, w);
+  s.cpu_w.clear();
+  for (std::size_t c = 0; c < hwsim::kMaxSockets; ++c) s.cpu_w.push_back(w + c);
+  s.gpu_w.clear();
+  for (std::size_t g = 0; g < hwsim::kMaxGpuSensors; ++g) {
+    s.gpu_w.push_back(w + g);
+  }
+  return s;
+}
+
+void expect_matches(const ColumnarSampleStore& store,
+                    const util::RingBuffer<PowerSample>& reference,
+                    const char* phase) {
+  SCOPED_TRACE(phase);
+  ASSERT_TRUE(store.check_integrity());
+  ASSERT_EQ(store.size(), reference.size());
+  ASSERT_EQ(store.total_pushed(), reference.total_pushed());
+  ASSERT_EQ(store.evicted(), reference.evicted());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    expect_same_sample(store.get(i), reference[i]);
+  }
+}
+
+// Columns materialize as samples with more domains arrive, across faults,
+// platform changes, buffer swaps, pruning and wraparound; every state must
+// read back exactly like util::RingBuffer<PowerSample>.
+TEST(ColumnarStore, MixedDomainSequencesMatchRingBuffer) {
+  auto store = std::make_unique<ColumnarSampleStore>(6);
+  auto reference = std::make_unique<util::RingBuffer<PowerSample>>(6);
+  double t = 0.0;
+  auto push = [&](const PowerSample& s) {
+    store->push(s);
+    reference->push(s);
+    ASSERT_TRUE(store->check_integrity()) << "t=" << s.timestamp_s;
+  };
+
+  for (int i = 0; i < 4; ++i) push(ac922_sample(t += 2.0, i));
+  expect_matches(*store, *reference, "ac922");
+
+  // Faults clear the GPU domains of the newest slots; the old slots still
+  // read their GPUs from the materialized columns.
+  for (int i = 0; i < 3; ++i) push(faulted_sample(t += 2.0, i));
+  expect_matches(*store, *reference, "sensor fault");
+
+  // A node that reports fewer sockets but the same GPU count as OAMs, then
+  // an AC922 sweep again, overwriting slots across the wrap seam.
+  for (int i = 0; i < 5; ++i) push(ex235a_sample(t += 2.0, i));
+  push(ac922_sample(t += 2.0, 9));
+  expect_matches(*store, *reference, "ex235a");
+
+  // The ring is full and wrapped: a sample with every domain slot in use
+  // lands mid-ring and materializes the remaining columns, zero-filled
+  // around it to the full physical length.
+  push(full_sample(t += 2.0, 1.0));
+  push(ac922_sample(t += 2.0, 3));
+  expect_matches(*store, *reference, "full width mid-ring");
+
+  // set-config buffer swap: the replacement starts empty, inherits the
+  // lifetime and materializes its own columns from scratch.
+  const std::uint64_t pushed = store->total_pushed();
+  store = std::make_unique<ColumnarSampleStore>(9);
+  store->inherit_lifetime(pushed);
+  reference = std::make_unique<util::RingBuffer<PowerSample>>(9);
+  reference->inherit_lifetime(pushed);
+  expect_matches(*store, *reference, "buffer swap");
+  for (int i = 0; i < 2; ++i) push(faulted_sample(t += 2.0, i));
+  for (int i = 0; i < 3; ++i) push(ac922_sample(t += 2.0, i));
+  expect_matches(*store, *reference, "after swap");
+
+  // In a growing ring the same sample materializes its columns at the
+  // append position; they are zero-filled behind it and kept in lockstep.
+  push(full_sample(t += 2.0, 1.0));
+  for (int i = 0; i < 3; ++i) push(ex235a_sample(t += 2.0, i));
+  expect_matches(*store, *reference, "full width appended");
+
+  // prune_front drops the oldest slots; the reference drops the same.
+  const double cut = (*reference)[4].timestamp_s;
+  store->prune_front(cut);
+  util::RingBuffer<PowerSample> pruned(9);
+  pruned.inherit_lifetime(reference->total_pushed() -
+                          (reference->size() - 4));
+  for (std::size_t i = 4; i < reference->size(); ++i) {
+    pruned.push((*reference)[i]);
+  }
+  ASSERT_TRUE(store->check_integrity());
+  ASSERT_EQ(store->size(), pruned.size());
+  ASSERT_EQ(store->evicted(), pruned.evicted());
+  for (std::size_t i = 0; i < pruned.size(); ++i) {
+    expect_same_sample(store->get(i), pruned[i]);
+  }
+  *reference = std::move(pruned);
+
+  // Wrap the ring several times over with alternating shapes.
+  for (int i = 0; i < 40; ++i) {
+    switch (i % 4) {
+      case 0: push(ac922_sample(t += 2.0, i)); break;
+      case 1: push(faulted_sample(t += 2.0, i)); break;
+      case 2: push(ex235a_sample(t += 2.0, i)); break;
+      default: push(full_sample(t += 2.0, i)); break;
+    }
+  }
+  expect_matches(*store, *reference, "wraparound");
+
+  // clear() empties every column; a narrow sample afterwards materializes
+  // only what it needs and the store stays coherent.
+  store->clear();
+  reference->clear();
+  push(ex235a_sample(t += 2.0, 0));
+  expect_matches(*store, *reference, "after clear");
 }
 
 TEST(ColumnarStore, ZeroCapacityThrows) {
