@@ -1,12 +1,12 @@
 // Extension: policy tournament over the policy plane.
 //
 // Every scheduler policy dispatches through the PolicyEngine by name and
-// every node policy through its plugin, so this bench doubles as the
-// plane's end-to-end exercise: 8 policy configurations (3 legacy scheduler
-// policies, power-aware EASY, eco-mode, the PI degradation-bound node
-// controller, plus FPP and progress node-policy combinations) scored on
-// the three ext_queue_mixes archetypes under the same 16-node / 19.2 kW
-// setup. Four scores per run:
+// every node policy through the power manager's enum dispatch, so this
+// bench doubles as the plane's end-to-end exercise: 8 policy
+// configurations (3 legacy scheduler policies, power-aware EASY, eco-mode,
+// the PI degradation-bound node controller, plus FPP and progress
+// node-policy combinations) scored on the three ext_queue_mixes archetypes
+// under the same 16-node / 19.2 kW setup. Four scores per run:
 //   * makespan — queue completion time;
 //   * energy — exact meter joules;
 //   * overshoot — cap-violation watt-seconds: sum over the 2 s cluster

@@ -1,25 +1,19 @@
 // Microbenchmarks for the monitor data plane: the columnar (SoA) sample
-// store against the seed's row-of-structs ring, the consume-variant period
-// estimator, and — sim-driven — the TBON traffic cut of incremental delta
-// aggregation.
+// store's read paths, the consume-variant period estimator, and — sim-driven
+// — the TBON traffic cut of incremental delta aggregation.
 //
 // Workloads:
 //   * sweep stats      — mean/peak of best-node-watts over the whole ring
-//                        (the ledger/report sweep shape); row vs columnar
-//   * percentile       — p99 via nth_element over the extracted watt
-//                        column; row vs columnar
-//   * window query     — [start, end] window stats: linear timestamp scan
-//                        (row) vs binary search + unit-stride segments
+//                        (the ledger/report sweep shape)
+//   * percentile       — p99 via nth_element over the extracted watt column
+//   * window query     — [start, end] window stats: binary search of the
+//                        timestamp column + unit-stride segments
 //   * find_period      — copying estimator vs the in-place consume variant
 //                        on a column already materialized by copy_best_w
 //   * merge bytes/hop  — full re-merge vs delta aggregation: samples
 //                        shipped per repeated root window query, read off
 //                        the fluxpower_monitor_merge_bytes_total registry
 //                        counters of a live 16-node TBON stack
-//
-// The `row` namespace replicates the seed layout (util::RingBuffer of
-// PowerSample structs) so the before/after comparison is carried inside
-// one binary and one JSON file.
 //
 // Unless the caller passes its own --benchmark_out, results are written to
 // BENCH_monitor.json (google-benchmark JSON format).
@@ -28,7 +22,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,28 +31,8 @@
 #include "monitor/client.hpp"
 #include "monitor/power_monitor.hpp"
 #include "monitor/sample_store.hpp"
-#include "util/ring_buffer.hpp"
 
 using namespace fluxpower;
-
-namespace row {
-
-/// Seed-layout baseline: the monitor's original row-of-structs ring with
-/// the linear read paths it forced. Kept minimal — push, indexed get and a
-/// linear window scan — exactly what the pre-columnar module did.
-class RowSampleStore {
- public:
-  explicit RowSampleStore(std::size_t capacity) : ring_(capacity) {}
-
-  void push(const hwsim::PowerSample& s) { ring_.push(s); }
-  std::size_t size() const noexcept { return ring_.size(); }
-  const hwsim::PowerSample& get(std::size_t i) const { return ring_[i]; }
-
- private:
-  util::RingBuffer<hwsim::PowerSample> ring_;
-};
-
-}  // namespace row
 
 namespace {
 
@@ -85,9 +58,8 @@ hwsim::PowerSample make_sample(std::size_t i) {
   return s;
 }
 
-template <typename Store>
-Store make_filled_store() {
-  Store store(kRingSamples);
+monitor::ColumnarSampleStore make_filled_store() {
+  monitor::ColumnarSampleStore store(kRingSamples);
   for (std::size_t i = 0; i < kRingSamples + kRingSamples / 2; ++i) {
     store.push(make_sample(i));  // overfill so the ring seam is exercised
   }
@@ -96,26 +68,8 @@ Store make_filled_store() {
 
 // --- Sweep stats: mean/peak of best-node-watts over the whole ring ---------
 
-void BM_SweepStats_Row(benchmark::State& state) {
-  const auto store = make_filled_store<row::RowSampleStore>();
-  double sink = 0.0;
-  for (auto _ : state) {
-    double sum = 0.0, peak = 0.0;
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      const double w = store.get(i).best_node_w();
-      sum += w;
-      peak = std::max(peak, w);
-    }
-    sink += sum + peak;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kRingSamples));
-}
-BENCHMARK(BM_SweepStats_Row);
-
 void BM_SweepStats_Columnar(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   double sink = 0.0;
   for (auto _ : state) {
     double sum = 0.0, peak = 0.0;
@@ -136,28 +90,8 @@ BENCHMARK(BM_SweepStats_Columnar);
 
 // --- Percentile: p99 of the watt column ------------------------------------
 
-void BM_Percentile_Row(benchmark::State& state) {
-  const auto store = make_filled_store<row::RowSampleStore>();
-  std::vector<double> watts;
-  double sink = 0.0;
-  for (auto _ : state) {
-    watts.clear();
-    watts.reserve(store.size());
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      watts.push_back(store.get(i).best_node_w());
-    }
-    const std::size_t k = watts.size() * 99 / 100;
-    std::nth_element(watts.begin(), watts.begin() + k, watts.end());
-    sink += watts[k];
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kRingSamples));
-}
-BENCHMARK(BM_Percentile_Row);
-
 void BM_Percentile_Columnar(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   std::vector<double> watts;
   double sink = 0.0;
   for (auto _ : state) {
@@ -174,34 +108,11 @@ BENCHMARK(BM_Percentile_Columnar);
 
 // --- Window query: stats over [start, end] ---------------------------------
 //
-// A 4096-sample window out of the 64k ring. The row path must scan
-// timestamps linearly (the seed behavior); the columnar path binary
-// searches the timestamp column and sweeps two contiguous spans.
-
-void BM_WindowQuery_Row(benchmark::State& state) {
-  const auto store = make_filled_store<row::RowSampleStore>();
-  const double start = store.get(store.size() / 2).timestamp_s;
-  const double end = start + 2.0 * 4096.0;
-  double sink = 0.0;
-  for (auto _ : state) {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      const hwsim::PowerSample& s = store.get(i);
-      if (s.timestamp_s < start || s.timestamp_s > end) continue;
-      sum += s.best_node_w();
-      ++n;
-    }
-    sink += sum / static_cast<double>(n);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kRingSamples));
-}
-BENCHMARK(BM_WindowQuery_Row);
+// A 4096-sample window out of the 64k ring: binary search of the timestamp
+// column, then a sweep of two contiguous spans.
 
 void BM_WindowQuery_Columnar(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   const double start = store.timestamp_at(store.size() / 2);
   const double end = start + 2.0 * 4096.0;
   double sink = 0.0;
@@ -227,7 +138,7 @@ BENCHMARK(BM_WindowQuery_Columnar);
 // windows and pads that buffer in place instead of copying it again.
 
 void BM_FindPeriod_Copy(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   std::vector<double> watts;
   double sink = 0.0;
   for (auto _ : state) {
@@ -241,7 +152,7 @@ void BM_FindPeriod_Copy(benchmark::State& state) {
 BENCHMARK(BM_FindPeriod_Copy);
 
 void BM_FindPeriod_Consume(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   std::vector<double> watts;
   double sink = 0.0;
   for (auto _ : state) {

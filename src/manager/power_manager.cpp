@@ -7,8 +7,8 @@
 #include <stdexcept>
 
 #include "flux/instance.hpp"
-#include "manager/node_policies.hpp"
 #include "obs/trace.hpp"
+#include "policy/state_codec.hpp"
 #include "util/log.hpp"
 #include "variorum/variorum.hpp"
 
@@ -25,6 +25,12 @@ constexpr std::array<double, 12> kCapLatencyBounds = {
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, 600.0};
 constexpr std::array<double, 8> kBackoffBounds = {0.25, 0.5, 1.0,  2.0,
                                                  4.0,  8.0, 16.0, 32.0};
+
+// Only a transient driver/firmware failure warrants a retry; permanent
+// refusals (Unsupported, PermissionDenied) are the platform's answer.
+bool transient(const hwsim::CapResult& r) {
+  return r.status == hwsim::CapStatus::IoError;
+}
 }  // namespace
 
 const char* node_policy_name(NodePolicy policy) noexcept {
@@ -47,7 +53,6 @@ PowerManagerModule::PowerManagerModule(PowerManagerConfig config)
     throw std::invalid_argument(
         "PowerManagerConfig: quarantine_threshold must be >= 1");
   }
-  plugin_ = make_node_policy_plugin(*this, config_.node_policy);
 }
 
 PowerManagerModule::~PowerManagerModule() = default;
@@ -108,7 +113,7 @@ void PowerManagerModule::load(flux::Broker& broker) {
     payload["rank"] = broker_->rank();
     payload["node_limit_w"] = node_limit_w_;
     payload["gpu_budget_w"] = last_gpu_budget_w_;
-    payload["policy"] = plugin_->name();
+    payload["policy"] = node_policy_name(config_.node_policy);
     payload["cap_retries"] = cap_retries();
     if (hwsim::Node* n = broker_->node()) {
       payload["node_draw_w"] = n->node_draw_w();
@@ -122,24 +127,34 @@ void PowerManagerModule::load(flux::Broker& broker) {
     variorum::cap_best_effort_node_power_limit(*node, config_.static_node_cap_w);
   }
 
-  if (node != nullptr && plugin_->wants_progress() &&
-      managed_domain_count() > 0) {
+  // Which periodic machinery each node policy runs. Creation order is
+  // event order: progress, then control, then the FPP sample and FFT tasks.
+  const NodePolicy policy = config_.node_policy;
+  if (node != nullptr && progress_driven() && managed_domain_count() > 0) {
     progress_subscription_ = broker.subscribe_event(
         "job.progress", [this](const Message& m) { on_progress_event(m); });
+    const bool pi = policy == NodePolicy::PiBound;
     progress_task_ = std::make_unique<sim::PeriodicTask>(
-        broker.sim(), plugin_->progress_tick_period_s(), [this] {
-          plugin_->on_progress_tick();
+        broker.sim(),
+        pi ? config_.pi.control_period_s : config_.progress.control_period_s,
+        [this, pi] {
+          if (pi) {
+            pi_bound_tick();
+          } else {
+            progress_probe_tick();
+          }
           return true;
         });
   }
-  if (node != nullptr && plugin_->wants_control_tick()) {
+  if (node != nullptr && policy != NodePolicy::None &&
+      policy != NodePolicy::IbmDefaultNodeCap) {
     control_task_ = std::make_unique<sim::PeriodicTask>(
         broker.sim(), config_.control_period_s, [this] {
           control_tick();
           return true;
         });
   }
-  if (node != nullptr && plugin_->wants_fpp_engine() &&
+  if (node != nullptr && policy == NodePolicy::Fpp &&
       managed_domain_count() > 0) {
     // One controller per managed domain — GPUs when the node has them,
     // CPU sockets otherwise (the policy is device-agnostic, §III-B2).
@@ -616,12 +631,12 @@ void PowerManagerModule::handle_set_node_limit(const Message& req) {
   const bool fresh = node_limit_w_ == 0.0;
   node_limit_w_ = limit;
   if (raised || fresh) {
-    // New-headroom epoch: the plugin re-baselines (ProgressBased/PiBound
-    // re-probe from the fresh budget; FPP rebuilds its controllers so
-    // Algorithm 1's MAIN re-derives P_cap_cur and the convergence latch
-    // resets). A lowered limit does NOT reset: the tighter budget simply
-    // clamps the active caps, and the existing state remains valid.
-    plugin_->on_limit_refresh();
+    // New-headroom epoch: ProgressBased/PiBound re-baseline and re-probe
+    // from the fresh budget; FPP rebuilds its controllers. A lowered limit
+    // does NOT reset: the tighter budget simply clamps the active caps, and
+    // the existing state remains valid.
+    if (config_.node_policy == NodePolicy::Fpp) restart_fpp_epoch();
+    if (progress_driven()) reset_progress();
   }
   // A fresh limit supersedes any in-flight retry: restart the ladder. The
   // latency clock restarts with it — it measures this limit, not the
@@ -694,8 +709,64 @@ double PowerManagerModule::derive_gpu_budget_w() {
 }
 
 bool PowerManagerModule::enforce_node_limit() {
-  if (broker_->node() == nullptr) return true;
-  return plugin_->enforce();
+  hwsim::Node* node = broker_->node();
+  if (node == nullptr) return true;
+  switch (config_.node_policy) {
+    case NodePolicy::None:
+      // The node applies nothing; the static cap (if any) stands.
+      return true;
+    case NodePolicy::IbmDefaultNodeCap: {
+      // The platform's node dial (OPAL on AC922); firmware derives
+      // conservative device caps.
+      const double cap =
+          node_limit_w_ > 0.0 ? node_limit_w_ : config_.node_peak_w;
+      const auto result =
+          variorum::cap_best_effort_node_power_limit(*node, cap);
+      if (!result.ok()) {
+        util::log_warning(std::string("power-manager: node cap failed: ") +
+                          hwsim::cap_status_name(result.status));
+      }
+      return !transient(result);
+    }
+    case NodePolicy::Fpp: {
+      // Clamp each controller's cap to the fresh budget; the 90 s control
+      // loop does the dynamic adjustment.
+      const double budget = derive_gpu_budget_w();
+      bool ok = true;
+      for (std::size_t i = 0; i < fpp_.size(); ++i) {
+        const double cap = std::min(fpp_[i]->current_cap_w(), budget);
+        if (manages_gpus()) {
+          ok = ok && !transient(variorum::cap_gpu_power_limit(
+                         *node, static_cast<int>(i), cap));
+        } else {
+          ok = ok &&
+               !transient(node->set_socket_power_cap(static_cast<int>(i), cap));
+        }
+      }
+      return ok;
+    }
+    case NodePolicy::DirectGpuBudget:
+    case NodePolicy::ProgressBased:
+    case NodePolicy::PiBound: {
+      // Uniform device cap at the derived budget, or at the progress
+      // controller's cap when it is lower (never set under DirectGpuBudget).
+      const double budget = derive_gpu_budget_w();
+      if (budget <= 0.0) return true;
+      return apply_uniform_cap(progress_capped(budget));
+    }
+  }
+  return true;
+}
+
+void PowerManagerModule::restart_fpp_epoch() {
+  // Rebuild the controllers so Algorithm 1's MAIN re-derives P_cap_cur and
+  // the convergence latch resets; a job inheriting freed power rides the
+  // higher ceiling.
+  const FppConfig dcfg = domain_fpp_config();
+  for (auto& c : fpp_) {
+    c = std::make_unique<FppController>(dcfg, dcfg.max_gpu_cap_w);
+  }
+  time_since_fpp_control_s_ = 0.0;
 }
 
 bool PowerManagerModule::enforce_with_retry() {
@@ -811,12 +882,16 @@ void PowerManagerModule::release_emergency() {
 }
 
 // ---------------------------------------------------------------------------
-// Progress-observing policies (ProgressBased, PiBound)
+// Progress-driven policies (ProgressBased, PiBound)
 // ---------------------------------------------------------------------------
 
+bool PowerManagerModule::progress_driven() const noexcept {
+  return config_.node_policy == NodePolicy::ProgressBased ||
+         config_.node_policy == NodePolicy::PiBound;
+}
+
 void PowerManagerModule::on_progress_event(const Message& event) {
-  // Only progress of the job running on *this* node matters; the rate
-  // derivation and control reaction belong to the installed plugin.
+  // Only progress of the job running on *this* node matters.
   bool local = false;
   if (event.payload.contains("ranks")) {
     for (const Json& r : event.payload.at("ranks").as_array()) {
@@ -827,8 +902,130 @@ void PowerManagerModule::on_progress_event(const Message& event) {
     }
   }
   if (!local) return;
-  plugin_->on_progress(event.payload.number_or("work_done", -1.0),
-                       broker_->sim().now());
+  const double work_done = event.payload.number_or("work_done", -1.0);
+  const double now_s = broker_->sim().now();
+  if (work_done < 0.0) return;
+  ProgressState& p = progress_;
+  if (p.last_work >= 0.0 && work_done >= p.last_work && now_s > p.last_t) {
+    p.rate = (work_done - p.last_work) / (now_s - p.last_t);
+  } else if (work_done < p.last_work) {
+    // A new job started on this node: forget the previous one's state.
+    reset_progress();
+  }
+  p.last_work = work_done;
+  p.last_t = now_s;
+}
+
+void PowerManagerModule::reset_progress() {
+  const double last_t = progress_.last_t;
+  progress_ = ProgressState{};
+  progress_.last_t = last_t;
+}
+
+double PowerManagerModule::progress_capped(double budget) const noexcept {
+  return progress_.cap_w > 0.0 ? std::min(progress_.cap_w, budget) : budget;
+}
+
+void PowerManagerModule::progress_probe_tick() {
+  if (broker_->node() == nullptr) return;
+  const FppConfig dcfg = domain_fpp_config();  // reuses the cap ranges
+  const double budget = derive_gpu_budget_w();
+  const ProgressPolicyConfig& pc = config_.progress;
+  ProgressState& p = progress_;
+  if (p.rate < 0.0) {
+    // No progress signal (idle node, or a job without reporting): behave
+    // like plain budget enforcement.
+    p.phase = ProgressPhase::Baseline;
+    p.cap_w = 0.0;
+  } else {
+    switch (p.phase) {
+      case ProgressPhase::Baseline:
+        // One full control window at the budget establishes the baseline.
+        p.baseline = p.rate;
+        p.last_good_w = budget;
+        p.cap_w = std::max(dcfg.min_gpu_cap_w, budget - pc.step_w);
+        p.phase = ProgressPhase::Probing;
+        break;
+      case ProgressPhase::Probing:
+        if (p.rate >= (1.0 - pc.tolerance) * p.baseline) {
+          // Progress unharmed: keep the saving and probe further down.
+          p.last_good_w = p.cap_w;
+          const double next = std::max(dcfg.min_gpu_cap_w, p.cap_w - pc.step_w);
+          if (next == p.cap_w) {
+            p.phase = ProgressPhase::Hold;  // at the floor
+          }
+          p.cap_w = next;
+        } else {
+          // Progress degraded: restore the last good cap and hold.
+          p.cap_w = p.last_good_w;
+          p.phase = ProgressPhase::Hold;
+        }
+        break;
+      case ProgressPhase::Hold:
+        break;
+    }
+  }
+  apply_uniform_cap(progress_capped(budget));
+}
+
+void PowerManagerModule::pi_bound_tick() {
+  if (broker_->node() == nullptr) return;
+  const double budget = derive_gpu_budget_w();
+  const double floor_w = domain_fpp_config().min_gpu_cap_w;
+  const PiPolicyConfig& pc = config_.pi;
+  ProgressState& p = progress_;
+  if (p.rate < 0.0) {
+    // No progress signal: plain budget enforcement, controller at rest.
+    p.baseline = -1.0;
+    p.integral = 0.0;
+    p.cap_w = 0.0;
+  } else if (p.baseline < 0.0) {
+    // First full window ran at the budget: that rate is the 100% mark.
+    p.baseline = p.rate;
+    p.cap_w = 0.0;
+  } else {
+    const double degradation = std::max(0.0, 1.0 - p.rate / p.baseline);
+    const double error = pc.degradation_bound - degradation;
+    const double span = std::max(0.0, budget - floor_w);
+    p.integral += error;
+    // Anti-windup: keep the integral term within the actuator range so a
+    // long under-bound stretch cannot wind up a huge latent saving.
+    if (pc.ki > 0.0) {
+      p.integral = std::clamp(p.integral, 0.0, span / pc.ki);
+    } else {
+      p.integral = 0.0;
+    }
+    const double saving =
+        std::clamp(pc.kp * error + pc.ki * p.integral, 0.0, span);
+    p.cap_w = span > 0.0 ? budget - saving : 0.0;
+  }
+  apply_uniform_cap(progress_capped(budget));
+}
+
+void PowerManagerModule::encode_policy_state(
+    std::vector<std::uint8_t>& out) const {
+  const ProgressState& p = progress_;
+  switch (config_.node_policy) {
+    case NodePolicy::ProgressBased:
+      policy::state_put_u32(out, static_cast<std::uint32_t>(p.phase));
+      policy::state_put_f64(out, p.last_work);
+      policy::state_put_f64(out, p.last_t);
+      policy::state_put_f64(out, p.rate);
+      policy::state_put_f64(out, p.baseline);
+      policy::state_put_f64(out, p.cap_w);
+      policy::state_put_f64(out, p.last_good_w);
+      break;
+    case NodePolicy::PiBound:
+      policy::state_put_f64(out, p.last_work);
+      policy::state_put_f64(out, p.last_t);
+      policy::state_put_f64(out, p.rate);
+      policy::state_put_f64(out, p.baseline);
+      policy::state_put_f64(out, p.integral);
+      policy::state_put_f64(out, p.cap_w);
+      break;
+    default:
+      break;
+  }
 }
 
 bool PowerManagerModule::apply_uniform_cap(double cap_w) {
@@ -838,12 +1035,12 @@ bool PowerManagerModule::apply_uniform_cap(double cap_w) {
   if (manages_gpus()) {
     for (const hwsim::CapResult& r :
          variorum::cap_each_gpu_power_limit(*node, cap_w)) {
-      ok = ok && r.status != hwsim::CapStatus::IoError;
+      ok = ok && !transient(r);
     }
   } else {
     for (int i = 0; i < node->socket_count(); ++i) {
       const auto r = node->set_socket_power_cap(i, cap_w);
-      ok = ok && r.status != hwsim::CapStatus::IoError;
+      ok = ok && !transient(r);
     }
   }
   return ok;

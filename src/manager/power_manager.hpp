@@ -12,8 +12,14 @@
 //     Variorum according to the configured NodePolicy, tracks local power
 //     in its own control loop, and runs the per-GPU FPP controllers.
 // All three communicate exclusively via RPC messages.
+//
+// Node policies are a closed enum (manager::NodePolicy) dispatched here: one
+// switch in enforce_node_limit(), the periodic tasks load() wires up per
+// policy, and one plain progress-state member shared by the two
+// progress-driven policies. node_policy_name() is the only name table.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -25,7 +31,6 @@
 #include "flux/module.hpp"
 #include "manager/fpp.hpp"
 #include "manager/policy.hpp"
-#include "policy/policy.hpp"
 #include "sim/simulation.hpp"
 #include "util/ring_buffer.hpp"
 
@@ -51,12 +56,6 @@ class PowerManagerModule final : public flux::Module {
 
   const PowerManagerConfig& config() const noexcept { return config_; }
 
-  /// The node-policy plugin enforcing this node's limit (policy plane).
-  /// Never null: NodePolicy::None maps to a no-op plugin.
-  const policy::NodePolicyPlugin& node_plugin() const noexcept {
-    return *plugin_;
-  }
-
   // -- Node-level introspection (tests / timeline benches) -------------------
   double node_limit_w() const noexcept { return node_limit_w_; }
   double last_gpu_budget_w() const noexcept { return last_gpu_budget_w_; }
@@ -72,6 +71,15 @@ class PowerManagerModule final : public flux::Module {
   }
   const std::vector<std::unique_ptr<FppController>>& fpp_controllers() const {
     return fpp_;
+  }
+  /// Progress-driven policies (ProgressBased, PiBound): latest measured
+  /// work/s (-1 before a signal), active cap (0 = follow the budget), and
+  /// whether ProgressBased has latched its hold. Every other policy reads
+  /// -1, 0 and false.
+  double progress_rate() const noexcept { return progress_.rate; }
+  double progress_cap_w() const noexcept { return progress_.cap_w; }
+  bool progress_holding() const noexcept {
+    return progress_.phase == ProgressPhase::Hold;
   }
 
   // -- Cluster-level introspection (root only) --------------------------------
@@ -117,6 +125,11 @@ class PowerManagerModule final : public flux::Module {
   double time_since_fpp_control_s() const noexcept {
     return time_since_fpp_control_s_;
   }
+  bool emergency_active() const noexcept { return emergency_active_; }
+  /// Append the node policy's mutable state to `out` for the twin's POL
+  /// section: a fixed-width blob for ProgressBased and PiBound, nothing for
+  /// the other policies.
+  void encode_policy_state(std::vector<std::uint8_t>& out) const;
 
  private:
   // Cluster-level-manager (root).
@@ -155,7 +168,7 @@ class PowerManagerModule final : public flux::Module {
 
   // Node-level-manager (all ranks).
   void handle_set_node_limit(const flux::Message& req);
-  /// Apply the active limit through the node-policy plugin; false when any
+  /// Apply the active limit as config_.node_policy says; false when any
   /// cap write failed transiently (CapStatus::IoError) — permanent
   /// refusals are not failures.
   bool enforce_node_limit();
@@ -166,6 +179,9 @@ class PowerManagerModule final : public flux::Module {
   void control_tick();
   double derive_gpu_budget_w();
   bool apply_uniform_cap(double cap_w);
+  /// FPP: a raised or fresh limit starts a new epoch with rebuilt
+  /// controllers.
+  void restart_fpp_epoch();
 
   /// Which device class FPP / budget enforcement manages on this node:
   /// GPUs when present, CPU sockets otherwise (device-agnostic FPP).
@@ -173,21 +189,10 @@ class PowerManagerModule final : public flux::Module {
   FppConfig domain_fpp_config() const;
   int managed_domain_count() const;
 
-  // Built-in node-policy plugins act through this module's cap primitives
-  // and (FPP) its controller bank; friendship keeps that state physically
-  // here so the twin's MGR section stays byte-compatible.
-  friend class NonePolicyPlugin;
-  friend class IbmNodeCapPlugin;
-  friend class GpuBudgetPlugin;
-  friend class FppNodePlugin;
-  friend class ProgressNodePlugin;
-  friend class PiBoundNodePlugin;
-
   PowerManagerConfig config_;
   flux::Broker* broker_ = nullptr;
   /// Alive from load() to unload(); see while_loaded.
   std::shared_ptr<const int> load_token_;
-  std::unique_ptr<policy::NodePolicyPlugin> plugin_;
 
   // Node-level state.
   double node_limit_w_ = 0.0;  ///< 0 = unconstrained
@@ -214,22 +219,34 @@ class PowerManagerModule final : public flux::Module {
   double time_since_fpp_control_s_ = 0.0;
   std::size_t fpp_control_round_ = 0;
 
-  // Progress-observing policies (ProgressBased, PiBound): the module owns
-  // the subscription and the control task; the rate/cap state lives in the
-  // plugin (locality filtering stays here — it needs the broker rank).
+  // Progress-driven policies (ProgressBased, PiBound): the job.progress
+  // subscription, the control task, and the state both controllers read.
+  // The fields each policy serializes are listed in encode_policy_state.
+  enum class ProgressPhase : std::uint32_t { Baseline, Probing, Hold };
+  struct ProgressState {
+    ProgressPhase phase = ProgressPhase::Baseline;  ///< ProgressBased
+    double last_work = -1.0;
+    double last_t = 0.0;
+    double rate = -1.0;        ///< latest measured work/s
+    double baseline = -1.0;    ///< rate at the full budget
+    double cap_w = 0.0;        ///< active cap (0 = follow budget)
+    double last_good_w = 0.0;  ///< ProgressBased: last unharmed cap
+    double integral = 0.0;     ///< PiBound: accumulated error
+  };
+  bool progress_driven() const noexcept;
   void on_progress_event(const flux::Message& event);
+  /// A new job or new headroom: forget everything but the last sample time.
+  void reset_progress();
+  /// ProgressBased tick: probe the cap down while progress holds, restore
+  /// the last good cap and hold once it degrades.
+  void progress_probe_tick();
+  /// PiBound tick: PI loop steering the cap to the degradation bound.
+  void pi_bound_tick();
+  /// The uniform cap under `budget`: the progress cap when one is active.
+  double progress_capped(double budget) const noexcept;
+  ProgressState progress_;
   std::uint64_t progress_subscription_ = 0;
   std::unique_ptr<sim::PeriodicTask> progress_task_;
-
- public:
-  // Progress introspection for tests/benches (delegates to the plugin; the
-  // plugin defaults equal the former members' initial values, keeping the
-  // twin MGR section byte-compatible for non-progress policies).
-  double progress_rate() const noexcept { return plugin_->progress_rate(); }
-  double progress_cap_w() const noexcept { return plugin_->progress_cap_w(); }
-  bool progress_holding() const noexcept {
-    return plugin_->progress_holding();
-  }
 
   // Cluster-level state (root only).
   std::map<flux::JobId, JobAllocation> allocations_;
@@ -260,9 +277,6 @@ class PowerManagerModule final : public flux::Module {
   std::unique_ptr<sim::PeriodicTask> emergency_task_;
   int emergency_strikes_ = 0;
   bool emergency_active_ = false;
-
- public:
-  bool emergency_active() const noexcept { return emergency_active_; }
 };
 
 }  // namespace fluxpower::manager

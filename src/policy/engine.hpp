@@ -4,8 +4,8 @@
 // Registration is explicit and idempotent — no static-initializer
 // self-registration, which a static-lib link would silently dead-strip.
 // The built-ins register in the engine constructor. Node policies need no
-// registry: the power-manager module constructs its plugin from
-// manager::NodePolicy, and each plugin reports its own name().
+// registry: they are the closed manager::NodePolicy enum, dispatched inside
+// the power-manager module and named by manager::node_policy_name().
 #pragma once
 
 #include <functional>

@@ -1,24 +1,20 @@
-// policy.hpp — the pluggable power-policy plane (observe/act contracts).
+// policy.hpp — the pluggable scheduler-policy plane (observe/act contract).
 //
 // The paper's §III-B policy hooks appear twice in this reproduction: the
 // scheduler decides *when a job may start* (admission under node and power
 // constraints) and the per-node manager decides *how a node enforces its
-// limit* (cap placement across GPUs/sockets). Both used to be closed enums
-// with if/else dispatch; this header carves out the common interface so new
-// policies from the related work (PI-bounded degradation, eco-mode
-// user-assisted capping, power-aware EASY) plug in without editing every
-// layer by hand.
+// limit* (cap placement across GPUs/sockets). The scheduler side is open:
+// this header's SchedulerPolicy interface lets policies from the related
+// work (power-aware EASY, eco-mode user-assisted capping) plug in by name.
+// The node side is closed: manager::NodePolicy is an enum that the
+// power-manager module dispatches on itself (manager/power_manager.hpp), so
+// it has no interface here.
 //
 // Observe/act contract:
 //   * SchedulerPolicy observes the queue scan (one admit() verdict per
 //     queued job, in submission order) plus a SchedView snapshot of the
 //     cluster ledger, and acts through scheduling hints (Start / HoldQueue
 //     / SkipJob) and an admission charge against the admitted-power ledger.
-//   * NodePolicyPlugin observes pushed node limits, job progress events and
-//     the host module's telemetry (typed PowerSample windows via the FPP
-//     engine, obs gauges via the broker registry), and acts through the
-//     module's cap primitives — every watt written to hardware still flows
-//     through the existing push/retry/quarantine machinery.
 //
 // Determinism rules (DESIGN.md "Policy plane"):
 //   * Policies must be pure functions of their observed inputs: no wall
@@ -106,52 +102,6 @@ class SchedulerPolicy {
 
   /// Serialize mutable policy state for the twin's POL section (empty for
   /// stateless policies). Must be deterministic.
-  virtual void encode_state(std::vector<std::uint8_t>& out) const {
-    (void)out;
-  }
-};
-
-/// Node-side policy: how a node enforces its pushed power limit. Concrete
-/// plugins live next to the power-manager module (they act through its cap
-/// primitives); this interface is what the module dispatches through.
-class NodePolicyPlugin {
- public:
-  virtual ~NodePolicyPlugin() = default;
-
-  virtual const char* name() const noexcept = 0;
-
-  // -- capability flags: which of the host module's periodic machinery is
-  //    wired up at load. Mirrors the former enum gating exactly.
-  virtual bool wants_progress() const noexcept { return false; }
-  virtual bool wants_control_tick() const noexcept { return false; }
-  virtual bool wants_fpp_engine() const noexcept { return false; }
-  /// Period of the progress-driven control tick (only consulted when
-  /// wants_progress()).
-  virtual double progress_tick_period_s() const noexcept { return 0.0; }
-
-  // -- observe
-  /// A local job reported cumulative work `work_done` at sim time `now_s`.
-  virtual void on_progress(double work_done, double now_s) {
-    (void)work_done;
-    (void)now_s;
-  }
-  /// Periodic progress-control tick (period = progress_tick_period_s()).
-  virtual void on_progress_tick() {}
-  /// The node limit was freshly installed or raised (new headroom epoch).
-  virtual void on_limit_refresh() {}
-
-  // -- act
-  /// Apply the active node limit to the local hardware; false only on a
-  /// transient cap-write failure (arms the host's backoff ladder).
-  virtual bool enforce() = 0;
-
-  // -- introspection (keeps the twin MGR section byte-compatible: the
-  //    defaults equal the former module members' initial values).
-  virtual double progress_rate() const noexcept { return -1.0; }
-  virtual double progress_cap_w() const noexcept { return 0.0; }
-  virtual bool progress_holding() const noexcept { return false; }
-
-  /// Serialize mutable plugin state for the twin's POL section.
   virtual void encode_state(std::vector<std::uint8_t>& out) const {
     (void)out;
   }

@@ -250,7 +250,7 @@ void encode_pol(ByteWriter& w, experiments::Scenario& sc) {
   w.u32(static_cast<std::uint32_t>(blob.size()));
   w.bytes(blob);
 
-  // Node-side plugins, rank order: plugin identity + opaque state blob.
+  // Node policies, rank order: policy name + opaque state blob.
   flux::Instance& inst = sc.instance();
   w.u32(static_cast<std::uint32_t>(inst.size()));
   for (int rank = 0; rank < inst.size(); ++rank) {
@@ -258,10 +258,9 @@ void encode_pol(ByteWriter& w, experiments::Scenario& sc) {
         inst.broker(rank).find_module("power-manager"));
     w.boolean(mod != nullptr);
     if (mod == nullptr) continue;
-    const policy::NodePolicyPlugin& plugin = mod->node_plugin();
-    w.str(plugin.name());
+    w.str(manager::node_policy_name(mod->config().node_policy));
     blob.clear();
-    plugin.encode_state(blob);
+    mod->encode_policy_state(blob);
     w.u32(static_cast<std::uint32_t>(blob.size()));
     w.bytes(blob);
   }

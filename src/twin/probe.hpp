@@ -34,7 +34,7 @@ inline constexpr std::uint32_t kTagJobs = fourcc('J', 'O', 'B', 'S');
 inline constexpr std::uint32_t kTagMon = fourcc('M', 'O', 'N', '!');
 inline constexpr std::uint32_t kTagMgr = fourcc('M', 'G', 'R', '!');
 /// Policy plane: scheduler policy identity + admission ledger + queue, and
-/// every rank's node-policy plugin identity + opaque state blob.
+/// every rank's node-policy name + opaque state blob.
 inline constexpr std::uint32_t kTagPol = fourcc('P', 'O', 'L', '!');
 inline constexpr std::uint32_t kTagFault = fourcc('F', 'L', 'T', '!');
 inline constexpr std::uint32_t kTagScen = fourcc('S', 'C', 'E', 'N');

@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "apps/launcher.hpp"
 #include "flux/instance.hpp"
@@ -16,8 +17,8 @@ namespace {
 
 using hwsim::Platform;
 
-class ManagerTest : public ::testing::Test {
- protected:
+/// A simulated Lassen cluster with the power manager on every broker.
+struct ManagerStack {
   void build(int nodes, PowerManagerConfig cfg) {
     cluster_ = hwsim::make_cluster(sim_, Platform::LassenIbmAc922, nodes);
     std::vector<hwsim::Node*> ptrs;
@@ -48,6 +49,8 @@ class ManagerTest : public ::testing::Test {
   hwsim::Cluster cluster_;
   std::unique_ptr<flux::Instance> instance_;
 };
+
+class ManagerTest : public ::testing::Test, protected ManagerStack {};
 
 TEST_F(ManagerTest, UnconstrainedAllocatesPeakAndSetsNoCaps) {
   PowerManagerConfig cfg;  // bound 0 = unconstrained
@@ -193,19 +196,33 @@ TEST_F(ManagerTest, FppEventuallyCapsBelowBudgetForPhaseStableApp) {
   EXPECT_GT(reduced, 0);
 }
 
+// Every node policy reports its limit and its name; the names are the
+// literal strings operators and bench labels use.
 TEST_F(ManagerTest, NodeStatusService) {
-  PowerManagerConfig cfg;
-  cfg.cluster_power_bound_w = 9600.0;
-  cfg.node_policy = NodePolicy::DirectGpuBudget;
-  build(8, cfg);
-  submit("gemm", 8, 2.0);
-  sim_.run_until(10.0);
-  util::Json got;
-  instance_->root().rpc(2, kNodeStatusTopic, util::Json::object(),
-                        [&](const flux::Message& m) { got = m.payload; });
-  sim_.run_until(11.0);
-  EXPECT_DOUBLE_EQ(got.number_or("node_limit_w", 0.0), 1200.0);
-  EXPECT_EQ(got.string_or("policy", ""), "gpu-budget");
+  const std::pair<NodePolicy, const char*> cases[] = {
+      {NodePolicy::None, "none"},
+      {NodePolicy::IbmDefaultNodeCap, "ibm-default"},
+      {NodePolicy::DirectGpuBudget, "gpu-budget"},
+      {NodePolicy::Fpp, "fpp"},
+      {NodePolicy::ProgressBased, "progress"},
+      {NodePolicy::PiBound, "pi-bound"}};
+  for (const auto& [policy, name] : cases) {
+    SCOPED_TRACE(name);
+    ManagerStack stack;
+    PowerManagerConfig cfg;
+    cfg.cluster_power_bound_w = 9600.0;
+    cfg.node_policy = policy;
+    stack.build(8, cfg);
+    stack.submit("gemm", 8, 2.0);
+    stack.sim_.run_until(10.0);
+    util::Json got;
+    stack.instance_->root().rpc(
+        2, kNodeStatusTopic, util::Json::object(),
+        [&](const flux::Message& m) { got = m.payload; });
+    stack.sim_.run_until(11.0);
+    EXPECT_DOUBLE_EQ(got.number_or("node_limit_w", 0.0), 1200.0);
+    EXPECT_EQ(got.string_or("policy", ""), name);
+  }
 }
 
 TEST_F(ManagerTest, ClusterStatusService) {

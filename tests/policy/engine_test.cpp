@@ -1,11 +1,9 @@
-// Tests for the PolicyEngine registry, the built-in scheduler policies'
-// decision semantics (the observe/act contracts of src/policy) and the
-// node-policy plugin names.
+// Tests for the PolicyEngine registry and the built-in scheduler policies'
+// decision semantics (the observe/act contracts of src/policy).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "manager/power_manager.hpp"
 #include "policy/engine.hpp"
 #include "policy/sched_policies.hpp"
 #include "policy/state_codec.hpp"
@@ -51,21 +49,6 @@ TEST(PolicyEngineTest, RegistrationIsIdempotent) {
   const std::size_t before = engine.sched_policies().size();
   register_builtin_sched_policies(engine);  // second call: first wins
   EXPECT_EQ(engine.sched_policies().size(), before);
-}
-
-// The two node-policy name tables that remain — node_policy_name() (twin
-// and bench labels) and each plugin's name() (node-status "policy") — must
-// agree for every enumerator.
-TEST(NodePolicyNames, PluginNameMatchesNodePolicyName) {
-  using manager::NodePolicy;
-  for (int v = 0; v <= static_cast<int>(NodePolicy::PiBound); ++v) {
-    const auto p = static_cast<NodePolicy>(v);
-    manager::PowerManagerConfig cfg;
-    cfg.node_policy = p;
-    const manager::PowerManagerModule mod(cfg);
-    EXPECT_STREQ(mod.node_plugin().name(), manager::node_policy_name(p))
-        << "NodePolicy value " << v;
-  }
 }
 
 TEST(SchedPolicyTest, FcfsAlwaysStartsAndNeverBackfills) {

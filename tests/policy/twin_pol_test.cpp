@@ -15,7 +15,7 @@ namespace fluxpower::twin {
 namespace {
 
 /// A spec that lights up the whole policy plane: power-aware admission with
-/// an eco-enrolled job, the PI-bound node plugin (progress-driven), faults
+/// an eco-enrolled job, the PI-bound node policy (progress-driven), faults
 /// off so failures point at the policy plane, not the weather.
 TwinSpec make_policy_spec() {
   TwinSpec spec;
@@ -61,12 +61,14 @@ TEST(TwinPolTest, CaptureEmitsPolSection) {
 TEST(TwinPolTest, PolDigestTracksPolicyState) {
   TwinSession a(make_policy_spec());
   a.advance_to(20.0);
-  const StateSection* early = capture_state(a.scenario()).find(kTagPol);
+  const StateImage early_image = capture_state(a.scenario());
+  const StateSection* early = early_image.find(kTagPol);
   ASSERT_NE(early, nullptr);
   const std::uint64_t early_digest = early->digest;
 
   a.advance_to(120.0);
-  const StateSection* late = capture_state(a.scenario()).find(kTagPol);
+  const StateImage late_image = capture_state(a.scenario());
+  const StateSection* late = late_image.find(kTagPol);
   ASSERT_NE(late, nullptr);
   EXPECT_NE(late->digest, early_digest)
       << "POL digest did not move across admissions/releases";
@@ -79,8 +81,10 @@ TEST(TwinPolTest, PolSectionIsDeterministic) {
   for (double t : {10.0, 40.0, 90.0}) {
     a.advance_to(t);
     b.advance_to(t);
-    const StateSection* sa = capture_state(a.scenario()).find(kTagPol);
-    const StateSection* sb = capture_state(b.scenario()).find(kTagPol);
+    const StateImage ia = capture_state(a.scenario());
+    const StateImage ib = capture_state(b.scenario());
+    const StateSection* sa = ia.find(kTagPol);
+    const StateSection* sb = ib.find(kTagPol);
     ASSERT_NE(sa, nullptr);
     ASSERT_NE(sb, nullptr);
     EXPECT_EQ(sa->digest, sb->digest) << "t=" << t;
@@ -108,8 +112,8 @@ TEST(TwinPolTest, SnapshotRestoreRoundTripsPolSection) {
   // Replay-based restore verifies POL (and every other section) or throws.
   std::unique_ptr<TwinSession> restored;
   ASSERT_NO_THROW(restored = decoded.restore());
-  const StateSection* replayed =
-      capture_state(restored->scenario()).find(kTagPol);
+  const StateImage replayed_image = capture_state(restored->scenario());
+  const StateSection* replayed = replayed_image.find(kTagPol);
   ASSERT_NE(replayed, nullptr);
   EXPECT_EQ(replayed->digest, stored->digest);
 
